@@ -19,6 +19,7 @@
 #include "cf/estimator.hh"
 #include "cf/sampler.hh"
 #include "core/power_allocator.hh"
+#include "util/thread_pool.hh"
 
 using namespace psm;
 using namespace psm::bench;
@@ -96,6 +97,40 @@ BM_CfEstimate(benchmark::State &state)
     }
 }
 
+/**
+ * One 12 x 432 rank-3 power fit on its own: 11 fully profiled rows
+ * plus a 10%-sampled new row, at pool width 1, so the kernel's cost
+ * shows apart from the estimator's two-model fan-out.
+ */
+void
+BM_AlsFit(benchmark::State &state)
+{
+    const auto &plat = power::defaultPlatform();
+    cf::Profiler profiler(plat, 0.0);
+    Rng rng(1);
+    cf::MaskedMatrix m(0, 0);
+    for (const auto &p : perf::workloadLibrary()) {
+        if (p.name == "ferret")
+            continue;
+        perf::PerfModel model(plat, p);
+        std::vector<double> pr, hr;
+        profiler.measureAll(model, pr, hr, rng);
+        m.appendObservedRow(pr);
+    }
+    m.appendEmptyRow();
+    perf::PerfModel model(plat, perf::workload("ferret"));
+    auto cols = cf::Sampler(plat).select(0.10, rng);
+    for (const cf::Measurement &s : profiler.measure(model, cols, rng))
+        m.observe(m.rows() - 1, s.column, s.power);
+
+    util::ThreadPool::configureGlobal(1);
+    for (auto _ : state) {
+        cf::AlsModel fit(m);
+        benchmark::DoNotOptimize(fit.predict(m.rows() - 1, 0));
+    }
+    util::ThreadPool::configureGlobal(0);
+}
+
 void
 BM_EsdPlan(benchmark::State &state)
 {
@@ -147,6 +182,7 @@ BM_FullReallocationDecision(benchmark::State &state)
 BENCHMARK(BM_AllocatorDp)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_BuildUtilityCurve);
 BENCHMARK(BM_CfEstimate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AlsFit)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EsdPlan);
 BENCHMARK(BM_ServerSimulationStep);
 BENCHMARK(BM_FullReallocationDecision)

@@ -5,7 +5,6 @@
 #include <random>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace psm::cf
 {
@@ -23,10 +22,11 @@ AlsConfig::validate() const
         fatal("ALS needs at least one warm iteration");
 }
 
-std::vector<double>
-solveSpd(std::vector<double> a, std::vector<double> b, std::size_t k)
+void
+solveSpd(std::span<double> a, std::span<double> b)
 {
-    psm_assert(a.size() == k * k && b.size() == k);
+    std::size_t k = b.size();
+    psm_assert(a.size() == k * k);
     // In-place Cholesky: A = L L^T.
     for (std::size_t i = 0; i < k; ++i) {
         for (std::size_t j = 0; j <= i; ++j) {
@@ -55,8 +55,119 @@ solveSpd(std::vector<double> a, std::vector<double> b, std::size_t k)
             sum -= a[p * k + ii] * b[p];
         b[ii] = sum / a[ii * k + ii];
     }
-    return b;
 }
+
+namespace
+{
+
+/**
+ * The observed cells of @p data by row (or by column): line i owns
+ * entries [start[i], start[i + 1]), whose other coordinate ascends, in
+ * the order the sweeps visit them.
+ */
+struct Csr
+{
+    bool byRow;
+    std::vector<std::size_t> start{0};
+    std::vector<std::size_t> other;
+    std::vector<double> value;
+
+    Csr(const MaskedMatrix &data, bool by_row) : byRow(by_row)
+    {
+        std::size_t lines = by_row ? data.rows() : data.cols();
+        std::size_t width = by_row ? data.cols() : data.rows();
+        for (std::size_t i = 0; i < lines; ++i) {
+            for (std::size_t j = 0; j < width; ++j) {
+                std::size_t r = by_row ? i : j, c = by_row ? j : i;
+                if (data.observed(r, c)) {
+                    other.push_back(j);
+                    value.push_back(data.at(r, c));
+                }
+            }
+            start.push_back(other.size());
+        }
+    }
+};
+
+/**
+ * Run @p sweeps ALS passes serially (one line's work is far too small
+ * to split).  With K = rank, flatten and the unroll pragmas keep the
+ * accumulators in registers even at -O2; K = 0 takes @p rank at run
+ * time.  Either keeps every sum's operand order.
+ */
+template <std::size_t K>
+[[gnu::flatten]] void
+sweep(const Csr &rows, const Csr &cols, std::size_t rank, double mu,
+      double lambda, std::size_t sweeps, double *row_bias,
+      double *col_bias, double *u, double *v)
+{
+    const std::size_t k = K != 0 ? K : rank;
+    std::vector<double> scratch(k * k + k); // normal matrix, then rhs
+    double *a = scratch.data();
+    double *b = a + k * k;
+
+    // Closed-form ridge estimate of each non-empty line's bias from
+    // its residuals x_rc - (mu + b_r + d_c + u_r . v_c).
+    auto biasPass = [&](const Csr &obs, double *bias) {
+        for (std::size_t i = 0; i + 1 < obs.start.size(); ++i) {
+            if (obs.start[i] == obs.start[i + 1])
+                continue;
+            double sum = 0.0;
+            for (std::size_t e = obs.start[i]; e < obs.start[i + 1]; ++e) {
+                std::size_t j = obs.other[e];
+                std::size_t r = obs.byRow ? i : j, c = obs.byRow ? j : i;
+                double dot = 0.0;
+#pragma GCC unroll 8
+                for (std::size_t p = 0; p < k; ++p)
+                    dot += u[r * k + p] * v[c * k + p];
+                sum += obs.value[e] - (mu + row_bias[r] + col_bias[c] + dot) +
+                       bias[i];
+            }
+            double n = static_cast<double>(obs.start[i + 1] - obs.start[i]);
+            bias[i] = sum / (n + lambda);
+        }
+    };
+    // Ridge regression of each non-empty line's factors against the
+    // other side's fixed factors.
+    auto factorPass = [&](const Csr &obs, const double *fixed,
+                          double *out) {
+        for (std::size_t i = 0; i + 1 < obs.start.size(); ++i) {
+            if (obs.start[i] == obs.start[i + 1])
+                continue;
+            std::fill(scratch.begin(), scratch.end(), 0.0);
+            for (std::size_t e = obs.start[i]; e < obs.start[i + 1]; ++e) {
+                std::size_t j = obs.other[e];
+                std::size_t r = obs.byRow ? i : j, c = obs.byRow ? j : i;
+                double target =
+                    obs.value[e] - mu - row_bias[r] - col_bias[c];
+                const double *f = fixed + j * k;
+#pragma GCC unroll 8
+                for (std::size_t p = 0; p < k; ++p) {
+                    b[p] += target * f[p];
+#pragma GCC unroll 8
+                    for (std::size_t q = 0; q <= p; ++q)
+                        a[p * k + q] += f[p] * f[q];
+                }
+            }
+            for (std::size_t p = 0; p < k; ++p) {
+                for (std::size_t q = p + 1; q < k; ++q)
+                    a[p * k + q] = a[q * k + p];
+                a[p * k + p] += lambda;
+            }
+            solveSpd({a, k * k}, {b, k});
+            std::copy(b, b + k, out + i * k);
+        }
+    };
+
+    for (std::size_t iter = 0; iter < sweeps; ++iter) {
+        biasPass(rows, row_bias);
+        biasPass(cols, col_bias);
+        factorPass(rows, v, u);
+        factorPass(cols, u, v);
+    }
+}
+
+} // namespace
 
 AlsModel::AlsModel(const MaskedMatrix &data, AlsConfig config,
                    const AlsWarmStart *warm)
@@ -72,12 +183,7 @@ AlsModel::AlsModel(const MaskedMatrix &data, AlsConfig config,
 AlsWarmStart
 AlsModel::warmStart() const
 {
-    AlsWarmStart w;
-    w.rowBias = row_bias;
-    w.colBias = col_bias;
-    w.u = u;
-    w.v = v;
-    return w;
+    return {row_bias, col_bias, u, v};
 }
 
 void
@@ -112,106 +218,11 @@ AlsModel::fit(const MaskedMatrix &data, const AlsWarmStart *warm)
     if (data.observedCount() == 0)
         return;
 
-    // Precompute observation lists per row and per column.
-    std::vector<std::vector<std::size_t>> row_obs(n_rows);
-    std::vector<std::vector<std::size_t>> col_obs(n_cols);
-    for (std::size_t r = 0; r < n_rows; ++r)
-        for (std::size_t c = 0; c < n_cols; ++c)
-            if (data.observed(r, c)) {
-                row_obs[r].push_back(c);
-                col_obs[c].push_back(r);
-            }
-
-    auto residual = [&](std::size_t r, std::size_t c) {
-        double dot = 0.0;
-        for (std::size_t p = 0; p < k; ++p)
-            dot += u[r * k + p] * v[c * k + p];
-        return data.at(r, c) - (mu + row_bias[r] + col_bias[c] + dot);
-    };
-
-    // Every sub-pass below updates index i from state the pass holds
-    // fixed (row biases read column biases of the *previous* pass and
-    // vice versa; factor solves read the opposite side's factors), so
-    // the per-index solves of one pass are independent and run on the
-    // pool.  Each index writes only its own bias/factor slice, which
-    // makes the result bit-identical to the serial sweep at any
-    // worker count.
-    util::ThreadPool &pool = util::ThreadPool::global();
-
     sweeps_run = warmed ? cfg.warmIterations : cfg.iterations;
-    for (std::size_t iter = 0; iter < sweeps_run; ++iter) {
-        // Bias updates (closed form ridge estimates).
-        pool.parallelFor(n_rows, [&](std::size_t r) {
-            if (row_obs[r].empty())
-                return;
-            double sum = 0.0;
-            for (std::size_t c : row_obs[r])
-                sum += residual(r, c) + row_bias[r];
-            row_bias[r] =
-                sum / (static_cast<double>(row_obs[r].size()) +
-                       cfg.lambda);
-        });
-        pool.parallelFor(n_cols, [&](std::size_t c) {
-            if (col_obs[c].empty())
-                return;
-            double sum = 0.0;
-            for (std::size_t r : col_obs[c])
-                sum += residual(r, c) + col_bias[c];
-            col_bias[c] =
-                sum / (static_cast<double>(col_obs[c].size()) +
-                       cfg.lambda);
-        });
-
-        // Row factors: ridge regression against fixed column factors.
-        pool.parallelFor(n_rows, [&](std::size_t r) {
-            if (row_obs[r].empty())
-                return;
-            std::vector<double> a(k * k, 0.0);
-            std::vector<double> b(k, 0.0);
-            for (std::size_t c : row_obs[r]) {
-                double target = data.at(r, c) - mu - row_bias[r] -
-                                col_bias[c];
-                for (std::size_t p = 0; p < k; ++p) {
-                    b[p] += target * v[c * k + p];
-                    for (std::size_t q = 0; q <= p; ++q)
-                        a[p * k + q] += v[c * k + p] * v[c * k + q];
-                }
-            }
-            for (std::size_t p = 0; p < k; ++p) {
-                for (std::size_t q = p + 1; q < k; ++q)
-                    a[p * k + q] = a[q * k + p];
-                a[p * k + p] += cfg.lambda;
-            }
-            auto x = solveSpd(std::move(a), std::move(b), k);
-            std::copy(x.begin(), x.end(), u.begin() +
-                      static_cast<long>(r * k));
-        });
-
-        // Column factors symmetrically.
-        pool.parallelFor(n_cols, [&](std::size_t c) {
-            if (col_obs[c].empty())
-                return;
-            std::vector<double> a(k * k, 0.0);
-            std::vector<double> b(k, 0.0);
-            for (std::size_t r : col_obs[c]) {
-                double target = data.at(r, c) - mu - row_bias[r] -
-                                col_bias[c];
-                for (std::size_t p = 0; p < k; ++p) {
-                    b[p] += target * u[r * k + p];
-                    for (std::size_t q = 0; q <= p; ++q)
-                        a[p * k + q] += u[r * k + p] * u[r * k + q];
-                }
-            }
-            for (std::size_t p = 0; p < k; ++p) {
-                for (std::size_t q = p + 1; q < k; ++q)
-                    a[p * k + q] = a[q * k + p];
-                a[p * k + p] += cfg.lambda;
-            }
-            auto x = solveSpd(std::move(a), std::move(b), k);
-            std::copy(x.begin(), x.end(), v.begin() +
-                      static_cast<long>(c * k));
-        });
-    }
+    auto run = k == AlsConfig::defaultRank ? sweep<AlsConfig::defaultRank>
+                                           : sweep<0>;
+    run(Csr(data, true), Csr(data, false), k, mu, cfg.lambda, sweeps_run,
+        row_bias.data(), col_bias.data(), u.data(), v.data());
 }
 
 double

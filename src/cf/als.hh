@@ -23,6 +23,7 @@
 #define PSM_CF_ALS_HH
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "matrix.hh"
@@ -33,7 +34,8 @@ namespace psm::cf
 /** Hyper-parameters for the ALS solver. */
 struct AlsConfig
 {
-    std::size_t rank = 3;      ///< latent dimensionality k
+    static constexpr std::size_t defaultRank = 3; ///< compiled-in fast path
+    std::size_t rank = defaultRank; ///< latent dimensionality k
     double lambda = 0.10;      ///< L2 regularization strength
     std::size_t iterations = 25; ///< alternating sweeps
     unsigned seed = 1234;      ///< factor initialization seed
@@ -70,12 +72,11 @@ struct AlsWarmStart
 
 /**
  * Solve a symmetric positive definite k x k system A x = b in place
- * via Cholesky decomposition.  Exposed for testing.
- *
- * @return The solution vector.
+ * via Cholesky decomposition, k = b.size().  A (row-major) is
+ * overwritten by its Cholesky factor and b by the solution x.
+ * Exposed for testing.
  */
-std::vector<double> solveSpd(std::vector<double> a,
-                             std::vector<double> b, std::size_t k);
+void solveSpd(std::span<double> a, std::span<double> b);
 
 /**
  * Trained factorization model; predicts any cell.
@@ -89,9 +90,8 @@ class AlsModel
      * @param warm Optional factors from a previous fit of the same
      *        matrix shape; when they match, initialization is taken
      *        from them (instead of the seeded random draw) and only
-     *        config.warmIterations sweeps run.  Per-row/column solves
-     *        inside each sweep run on the global thread pool; results
-     *        are bit-identical to a serial fit at any pool width.
+     *        config.warmIterations sweeps run.  The fit is serial and
+     *        allocates nothing inside a sweep.
      */
     AlsModel(const MaskedMatrix &data, AlsConfig config = {},
              const AlsWarmStart *warm = nullptr);

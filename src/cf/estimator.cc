@@ -20,7 +20,8 @@ constexpr double hbFloor = 1e-6;
 UtilityEstimator::UtilityEstimator(const power::PlatformConfig &config,
                                    AlsConfig als)
     : config(config), als_config(als), columns(config.knobSpace()),
-      n_cols(columns.size()), power_corpus(0, 0), log_hb_corpus(0, 0)
+      n_cols(columns.size()), power_corpus(0, n_cols),
+      log_hb_corpus(0, n_cols)
 {
     als_config.validate();
     psm_assert(n_cols > 0);
@@ -57,10 +58,6 @@ UtilityEstimator::addCorpusApp(const std::string &name,
     if (hasCorpusApp(name))
         fatal("corpus already contains '%s'", name.c_str());
 
-    if (power_corpus.rows() == 0) {
-        power_corpus = MaskedMatrix(0, 0);
-        log_hb_corpus = MaskedMatrix(0, 0);
-    }
     std::vector<double> log_row(n_cols);
     for (std::size_t c = 0; c < n_cols; ++c)
         log_row[c] = std::log(std::max(hb_row[c], hbFloor));
@@ -82,8 +79,8 @@ void
 UtilityEstimator::clearCorpus()
 {
     names.clear();
-    power_corpus = MaskedMatrix(0, 0);
-    log_hb_corpus = MaskedMatrix(0, 0);
+    power_corpus = MaskedMatrix(0, n_cols);
+    log_hb_corpus = MaskedMatrix(0, n_cols);
 }
 
 std::pair<std::vector<std::size_t>, std::uint64_t>
@@ -137,12 +134,6 @@ UtilityEstimator::estimate(const std::vector<Measurement> &samples,
     // a sparse row.
     MaskedMatrix power_m = power_corpus;
     MaskedMatrix hb_m = log_hb_corpus;
-    if (power_m.rows() == 0) {
-        power_m = MaskedMatrix(0, n_cols);
-        hb_m = MaskedMatrix(0, n_cols);
-        // MaskedMatrix(0, n) has the column count fixed; append via
-        // empty rows below.
-    }
     power_m.appendEmptyRow();
     hb_m.appendEmptyRow();
     std::size_t new_row = power_m.rows() - 1;

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <memory>
 
+#include <pthread.h>
+
 #include "logging.hh"
 
 namespace psm::util
@@ -204,6 +206,20 @@ namespace
 {
 std::unique_ptr<ThreadPool> global_pool;
 std::mutex global_mtx;
+
+/** Replace the global pool; the caller holds global_mtx. */
+void
+installGlobal(unsigned width)
+{
+    // A forked child (a gtest death test) has none of the workers and
+    // may hold a copy of a pool mutex a worker had locked, so the child
+    // leaks the pool: its exit() must neither lock nor join it.
+    static const int registered = pthread_atfork(
+        nullptr, nullptr, [] { (void)global_pool.release(); });
+    (void)registered;
+    global_pool.reset(); // join the old workers first
+    global_pool = std::make_unique<ThreadPool>(width);
+}
 } // namespace
 
 ThreadPool &
@@ -211,7 +227,7 @@ ThreadPool::global()
 {
     std::lock_guard lk(global_mtx);
     if (!global_pool)
-        global_pool = std::make_unique<ThreadPool>();
+        installGlobal(0);
     return *global_pool;
 }
 
@@ -219,8 +235,7 @@ void
 ThreadPool::configureGlobal(unsigned width)
 {
     std::lock_guard lk(global_mtx);
-    global_pool.reset(); // join the old workers first
-    global_pool = std::make_unique<ThreadPool>(width);
+    installGlobal(width);
 }
 
 } // namespace psm::util

@@ -3,8 +3,8 @@
  * A fixed-size worker pool for the performance layer.
  *
  * The simulator's hot paths — stepping N independent cluster nodes
- * through an interval, solving the per-row/per-column ridge systems
- * of an ALS sweep — are embarrassingly parallel: every unit of work
+ * through an interval, fitting the power and heartbeat models of one
+ * utility estimate — are embarrassingly parallel: every unit of work
  * writes disjoint state.  The pool exploits that without giving up
  * reproducibility: parallelFor() partitions an index range and each
  * index writes only its own slice, so results are bit-identical to a
@@ -15,10 +15,10 @@
  * entry point runs inline on the caller — the serial baseline — so
  * PSM_THREADS=1 recovers the pre-pool execution exactly.
  *
- * Nesting: a parallelFor() issued from inside a pool task runs inline
- * on that worker.  This keeps nested parallel regions (a cluster step
- * whose per-node control plane fits an ALS model) deadlock-free and
- * bounds total concurrency at the pool width.
+ * Nesting: a parallelFor() or invoke() issued from inside a pool task
+ * runs inline on that worker.  This keeps nested parallel regions (a
+ * cluster step whose per-node control plane runs a utility estimate)
+ * deadlock-free and bounds total concurrency at the pool width.
  */
 
 #ifndef PSM_UTIL_THREAD_POOL_HH

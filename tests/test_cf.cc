@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "cf/als.hh"
@@ -87,9 +90,19 @@ TEST(MaskedMatrix, AppendRows)
 TEST(SolveSpd, MatchesKnownSolution)
 {
     // A = [[4,1],[1,3]], b = [1,2] -> x = [1/11, 7/11].
-    auto x = solveSpd({4.0, 1.0, 1.0, 3.0}, {1.0, 2.0}, 2);
+    std::vector<double> a = {4.0, 1.0, 1.0, 3.0};
+    std::vector<double> x = {1.0, 2.0};
+    solveSpd(a, x);
     EXPECT_NEAR(x[0], 1.0 / 11.0, 1e-12);
     EXPECT_NEAR(x[1], 7.0 / 11.0, 1e-12);
+
+    // A = [[4,2,0],[2,5,3],[0,3,6]], b = [2,3,9] -> x = [1,-1,2].
+    std::vector<double> a3 = {4.0, 2.0, 0.0, 2.0, 5.0, 3.0, 0.0, 3.0, 6.0};
+    std::vector<double> x3 = {2.0, 3.0, 9.0};
+    solveSpd(a3, x3);
+    EXPECT_NEAR(x3[0], 1.0, 1e-12);
+    EXPECT_NEAR(x3[1], -1.0, 1e-12);
+    EXPECT_NEAR(x3[2], 2.0, 1e-12);
 }
 
 TEST(Als, RecoversLowRankMatrixFromSparseSample)
@@ -294,6 +307,95 @@ TEST(Estimator, LeaveOneOutPredictsHeldOutAppWell)
     herr /= static_cast<double>(s.power.size());
     EXPECT_LT(perr, 0.06);
     EXPECT_LT(herr, 0.12);
+}
+
+// --- Golden surfaces --------------------------------------------------------
+
+/**
+ * FNV-1a over the IEEE-754 bit patterns of a surface.  Any change to
+ * the ALS summation order changes some low-order bit and so the hash.
+ */
+std::uint64_t
+surfaceBits(const UtilitySurface &s)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&](double x) {
+        hash ^= std::bit_cast<std::uint64_t>(x);
+        hash *= 0x100000001b3ULL;
+    };
+    for (double x : s.power)
+        mix(x);
+    for (double x : s.hbRate)
+        mix(x);
+    return hash;
+}
+
+/** A noisy leave-one-out setup: 11 profiled apps, "facesim" held out. */
+struct GoldenSetup
+{
+    Profiler prof{defaultPlatform(), 0.03};
+    Rng rng{41};
+    UtilityEstimator est;
+    perf::PerfModel target{defaultPlatform(), perf::workload("facesim")};
+
+    explicit GoldenSetup(AlsConfig als = {}) : est(defaultPlatform(), als)
+    {
+        for (const auto &p : perf::workloadLibrary()) {
+            if (p.name == "facesim")
+                continue;
+            perf::PerfModel model(defaultPlatform(), p);
+            std::vector<double> pr, hr;
+            prof.measureAll(model, pr, hr, rng);
+            est.addCorpusApp(p.name, pr, hr);
+        }
+    }
+
+    std::vector<std::size_t>
+    mask(double fraction)
+    {
+        return Sampler(defaultPlatform()).select(fraction, rng);
+    }
+};
+
+// The pinned hashes were recorded with the original (vector-list,
+// pool-parallel) ALS fit; a rewrite of the kernel must reproduce them
+// bit for bit, because serve decision digests and Eq. 1 depend on it.
+// They assume x86-64 SSE2 doubles without FMA contraction and glibc's
+// exp/log (the heartbeat surface passes through both).
+TEST(GoldenSurface, ColdRankThreeEstimate)
+{
+    GoldenSetup g;
+    UtilitySurface s =
+        g.est.estimate(g.prof.measure(g.target, g.mask(0.10), g.rng));
+    EXPECT_EQ(surfaceBits(s), 0x1fc1ff3404773a05ULL);
+}
+
+TEST(GoldenSurface, WarmRefitOfGrownMask)
+{
+    GoldenSetup g;
+    std::vector<std::size_t> cols = g.mask(0.10);
+    FitState state;
+    g.est.estimate(g.prof.measure(g.target, cols, g.rng), &state);
+
+    std::vector<std::size_t> grown = cols;
+    for (std::size_t c = 5; c < g.est.columnCount(); c += 17)
+        if (std::find(cols.begin(), cols.end(), c) == cols.end())
+            grown.push_back(c);
+    FitOutcome out;
+    UtilitySurface s = g.est.estimate(
+        g.prof.measure(g.target, grown, g.rng), &state, &out);
+    ASSERT_TRUE(out.warmStarted);
+    EXPECT_EQ(surfaceBits(s), 0xca314b45d68395b1ULL);
+}
+
+TEST(GoldenSurface, RankTwoEstimate)
+{
+    AlsConfig als;
+    als.rank = 2;
+    GoldenSetup g(als);
+    UtilitySurface s =
+        g.est.estimate(g.prof.measure(g.target, g.mask(0.10), g.rng));
+    EXPECT_EQ(surfaceBits(s), 0x16512d970a960b70ULL);
 }
 
 // --- Cross validation -------------------------------------------------------

@@ -12,8 +12,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cf/estimator.hh"
@@ -108,6 +110,18 @@ TEST(ThreadPool, ZeroCountIsANoOp)
 {
     util::ThreadPool pool(4);
     pool.parallelFor(0, [&](std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPoolDeath, ForkedChildExitsWithoutTouchingThePool)
+{
+    // A death test forks while the global pool's workers are alive.
+    // The child has none of them, so its exit() must neither join them
+    // nor lock a pool mutex a worker held at the fork.
+    ScopedPoolWidth pool(4);
+    for (int i = 0; i < 20; ++i) {
+        util::ThreadPool::global().invoke([] {}, [] {});
+        EXPECT_EXIT(std::exit(3), ::testing::ExitedWithCode(3), "");
+    }
 }
 
 // --- Estimator cache / warm start -------------------------------------------
@@ -369,20 +383,36 @@ TEST(DeterminismGuard, SchedulerParallelMatchesSerialBitForBit)
 
 TEST(DeterminismGuard, AlsFitIsWidthInvariant)
 {
+    // The two factorizations of one estimate fit concurrently; both
+    // the cold fit and the warm-started refit of a grown mask must
+    // not depend on the pool width.
     auto fitAt = [](unsigned width) {
         ScopedPoolWidth pool(width);
         cf::UtilityEstimator est = corpusEstimator("stream");
         std::vector<std::size_t> cols;
         for (std::size_t c = 0; c < est.columnCount(); c += 7)
             cols.push_back(c);
-        return est.estimate(measureColumns("stream", cols));
+        cf::FitState state;
+        cf::UtilitySurface cold =
+            est.estimate(measureColumns("stream", cols), &state);
+        for (std::size_t c = 3; c < est.columnCount(); c += 7)
+            cols.push_back(c);
+        cf::FitOutcome out;
+        cf::UtilitySurface warm =
+            est.estimate(measureColumns("stream", cols), &state, &out);
+        EXPECT_TRUE(out.warmStarted);
+        return std::pair(cold, warm);
     };
-    cf::UtilitySurface serial = fitAt(1);
-    cf::UtilitySurface parallel = fitAt(4);
-    ASSERT_EQ(serial.power.size(), parallel.power.size());
-    for (std::size_t c = 0; c < serial.power.size(); ++c) {
-        EXPECT_EQ(serial.power[c], parallel.power[c]);
-        EXPECT_EQ(serial.hbRate[c], parallel.hbRate[c]);
+    auto [serial_cold, serial_warm] = fitAt(1);
+    auto [parallel_cold, parallel_warm] = fitAt(4);
+    for (auto [serial, parallel] :
+         {std::pair(&serial_cold, &parallel_cold),
+          std::pair(&serial_warm, &parallel_warm)}) {
+        ASSERT_EQ(serial->power.size(), parallel->power.size());
+        for (std::size_t c = 0; c < serial->power.size(); ++c) {
+            EXPECT_EQ(serial->power[c], parallel->power[c]);
+            EXPECT_EQ(serial->hbRate[c], parallel->hbRate[c]);
+        }
     }
 }
 
