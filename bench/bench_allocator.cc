@@ -397,10 +397,10 @@ runEvents(bool quick)
     AllocatorCache cache;
     rep.denseMs = wallSeconds([&] { replay(dense, nullptr); }) * 1e3;
     rep.cachedMs = wallSeconds([&] { replay(frontier, &cache); }) * 1e3;
-    rep.fullHits = tel.counter("allocator.dp_full_hits");
-    rep.extends = tel.counter("allocator.dp_extends");
-    rep.combines = tel.counter("allocator.dp_combines");
-    rep.rebuilds = tel.counter("allocator.dp_rebuilds");
+    rep.fullHits = tel.counter(trace::EventId::AllocatorDpFullHits);
+    rep.extends = tel.counter(trace::EventId::AllocatorDpExtends);
+    rep.combines = tel.counter(trace::EventId::AllocatorDpCombines);
+    rep.rebuilds = tel.counter(trace::EventId::AllocatorDpRebuilds);
     return rep;
 }
 

@@ -369,7 +369,7 @@ ServeEngine::fillSnapshot(StatsSnapshot &snap,
     trace::TraceSink sink;
     pool_.foldTrace(sink);
     if (extra)
-        extra->foldInto(sink);
+        sink.mergeFrom(extra->sink());
     sink.forEachTouched([&](trace::EventId id) {
         std::string name(trace::eventName(id));
         if (trace::eventKind(id) == trace::EventKind::Timer) {

@@ -1,8 +1,5 @@
 #include "trace.hh"
 
-#include <algorithm>
-#include <unordered_map>
-
 namespace psm::trace
 {
 
@@ -25,20 +22,6 @@ static_assert(sizeof(kEventNames) / sizeof(kEventNames[0]) ==
                   kEventCount,
               "registry tables out of sync");
 
-/** name -> id index, built once on first lookup. */
-const std::unordered_map<std::string_view, EventId> &
-nameIndex()
-{
-    static const auto *index = [] {
-        auto *m = new std::unordered_map<std::string_view, EventId>();
-        m->reserve(kEventCount);
-        for (std::size_t i = 0; i < kEventCount; ++i)
-            m->emplace(kEventNames[i], static_cast<EventId>(i));
-        return m;
-    }();
-    return *index;
-}
-
 } // namespace
 
 std::string_view
@@ -53,85 +36,9 @@ eventKind(EventId id)
     return kEventKinds[static_cast<std::size_t>(id)];
 }
 
-bool
-lookupEvent(std::string_view name, EventId &out)
-{
-    const auto &index = nameIndex();
-    auto it = index.find(name);
-    if (it == index.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
-void
-TraceSink::fold() const
-{
-    for (const TraceRecord &rec : ring) {
-        auto ix = static_cast<std::size_t>(rec.event);
-        touched_flags[ix] = 1;
-        switch (static_cast<EventKind>(rec.kind)) {
-          case EventKind::Counter:
-            counter_agg[ix] += rec.value;
-            break;
-          case EventKind::Timer: {
-            TimerAgg &t = timer_agg[ix];
-            ++t.count;
-            t.total += rec.value;
-            t.max = std::max(t.max, rec.value);
-            break;
-          }
-          case EventKind::Gauge:
-            counter_agg[ix] = rec.value;
-            break;
-        }
-    }
-    ring.clear();
-}
-
-std::uint64_t
-TraceSink::counterValue(EventId id) const
-{
-    fold();
-    return counter_agg[static_cast<std::size_t>(id)];
-}
-
-TimerAgg
-TraceSink::timerValue(EventId id) const
-{
-    fold();
-    return timer_agg[static_cast<std::size_t>(id)];
-}
-
-bool
-TraceSink::touched(EventId id) const
-{
-    fold();
-    return touched_flags[static_cast<std::size_t>(id)] != 0;
-}
-
-void
-TraceSink::addTimer(EventId id, const TimerAgg &agg)
-{
-    if (agg.count == 0)
-        return;
-    fold();
-    auto ix = static_cast<std::size_t>(id);
-    touched_flags[ix] = 1;
-    TimerAgg &t = timer_agg[ix];
-    t.count += agg.count;
-    t.total += agg.total;
-    t.max = std::max(t.max, agg.max);
-    ++seq_counter;
-}
-
 void
 TraceSink::mergeFrom(const TraceSink &other)
 {
-    if (other.empty())
-        return;
-    fold();
-    other.fold();
     for (std::size_t i = 0; i < kEventCount; ++i) {
         if (!other.touched_flags[i])
             continue;
@@ -153,17 +60,6 @@ TraceSink::mergeFrom(const TraceSink &other)
             break;
         }
     }
-    seq_counter += other.seq_counter;
-}
-
-void
-TraceSink::reset()
-{
-    ring.clear();
-    seq_counter = 0;
-    counter_agg.fill(0);
-    timer_agg.fill(TimerAgg{});
-    touched_flags.fill(0);
 }
 
 } // namespace psm::trace

@@ -1,21 +1,18 @@
 /**
  * @file
- * The trace core: compile-time event ids, fixed-size binary trace
- * records and per-shard ring-buffer sinks with a post-hoc merge.
+ * The trace core: compile-time event ids and the dense per-shard
+ * aggregate store every Telemetry bus publishes into.
  *
- * This layer replaces the string-keyed hot path of the Telemetry bus.
- * Publishing appends one 16-byte TraceRecord to a private ring — no
- * allocation, no string hashing, no map walk — and aggregation
- * happens post hoc: the ring is folded into dense per-event arrays
- * when it fills, when a value is read, or when sinks merge.  Merging
- * two sinks is an O(#events) array add instead of an O(n log n)
- * string-map fold, which is what keeps per-node shard merges flat as
- * the cluster layer scales toward thousands of nodes.
+ * Publishing writes straight into fixed per-event arrays — no
+ * allocation, no string hashing, no map walk — and reads are plain
+ * array loads.  Merging two sinks is an O(#events) array add, which
+ * is what keeps per-node shard merges flat as the cluster layer
+ * scales toward thousands of nodes.
  *
  * The event registry lives in events.def (X-macro): one dense id per
- * name the control plane publishes.  The legacy string API resolves
- * names to ids through lookupEvent(); unknown names stay on the
- * façade's overflow map, so arbitrary test keys keep working.
+ * name the control plane publishes.  Names exist only for output
+ * (dumps, snapshots); every publisher and reader uses the typed id,
+ * so a mistyped event fails to compile.
  *
  * The sink is intentionally single-writer (one shard per thread or
  * per work index, exactly like the TelemetryShards discipline); the
@@ -26,11 +23,11 @@
 #ifndef PSM_TRACE_TRACE_HH
 #define PSM_TRACE_TRACE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace psm::trace
 {
@@ -60,33 +57,11 @@ inline constexpr std::size_t kEventCount = []() {
     return n;
 }();
 
-/** The registry name of an event (the legacy bus string key). */
+/** The registry name of an event. */
 std::string_view eventName(EventId id);
 
 /** The aggregate kind of an event. */
 EventKind eventKind(EventId id);
-
-/**
- * Resolve a legacy string key to its dense id.
- * @return true and sets @p out when the name is registered.
- */
-bool lookupEvent(std::string_view name, EventId &out);
-
-/**
- * One published observation, fixed-size and binary: what travels
- * through the ring buffers and what a binary trace dump would write.
- */
-struct TraceRecord
-{
-    std::uint16_t event = 0; ///< EventId
-    std::uint8_t kind = 0;   ///< EventKind (self-describing streams)
-    std::uint8_t flags = 0;  ///< reserved
-    std::uint32_t seq = 0;   ///< per-sink publish sequence
-    std::uint64_t value = 0; ///< delta (Counter), ticks (Timer), sample (Gauge)
-};
-
-static_assert(sizeof(TraceRecord) == 16,
-              "TraceRecord must stay fixed-size and 16 bytes");
 
 /** Aggregate of one Timer event. */
 struct TimerAgg
@@ -97,69 +72,49 @@ struct TimerAgg
 };
 
 /**
- * A single-writer trace sink: one bounded ring of TraceRecords plus
- * the dense aggregate arrays the ring folds into.
- *
- * Publish paths (count/observe/gauge) only append to the ring; all
- * aggregate reads fold lazily.  The ring is allocated on first
- * publish, so an untouched sink costs only its (zeroed) aggregate
- * arrays.
+ * A single-writer aggregate store: dense per-event counter, timer
+ * and touched arrays, written in place by every publish.
  */
 class TraceSink
 {
   public:
-    /** Records buffered before an automatic fold. */
-    static constexpr std::size_t kDefaultRingCapacity = 256;
-
-    explicit TraceSink(std::size_t ring_capacity = kDefaultRingCapacity)
-        : ring_capacity(ring_capacity ? ring_capacity : 1)
-    {
-    }
-
     /** Bump a Counter event. */
     void
     count(EventId id, std::uint64_t delta = 1)
     {
-        push(id, EventKind::Counter, delta);
+        counter_agg[touch(id)] += delta;
     }
 
     /** Observe one duration under a Timer event. */
     void
     observe(EventId id, std::uint64_t ticks)
     {
-        push(id, EventKind::Timer, ticks);
+        TimerAgg &t = timer_agg[touch(id)];
+        ++t.count;
+        t.total += ticks;
+        t.max = std::max(t.max, ticks);
     }
 
     /** Sample a Gauge event (last write wins). */
     void
     gauge(EventId id, std::uint64_t value)
     {
-        push(id, EventKind::Gauge, value);
+        counter_agg[touch(id)] = value;
     }
 
     /** Counter total (or last Gauge sample) for @p id. */
-    std::uint64_t counterValue(EventId id) const;
+    std::uint64_t
+    counterValue(EventId id) const
+    {
+        return counter_agg[static_cast<std::size_t>(id)];
+    }
 
     /** Timer aggregate for @p id (zeroes when never observed). */
-    TimerAgg timerValue(EventId id) const;
-
-    /** True once @p id was published at least once (even with a zero
-     * delta — mirrors the legacy map's "key exists" semantics). */
-    bool touched(EventId id) const;
-
-    /** True when nothing was ever published. */
-    bool empty() const { return seq_counter == 0; }
-
-    /** Total records published into this sink (monotonic; reads of
-     * this double as a cheap change-detection generation). */
-    std::uint64_t publishSeq() const { return seq_counter; }
-
-    /**
-     * Fold a pre-aggregated timer into this sink (the legacy-bus
-     * bridge: a string-keyed TimerStat has no record stream to
-     * replay, only its aggregate).
-     */
-    void addTimer(EventId id, const TimerAgg &agg);
+    TimerAgg
+    timerValue(EventId id) const
+    {
+        return timer_agg[static_cast<std::size_t>(id)];
+    }
 
     /**
      * Post-hoc merge: fold @p other's aggregates into this sink.
@@ -169,22 +124,12 @@ class TraceSink
      */
     void mergeFrom(const TraceSink &other);
 
-    /** Drop everything. */
-    void reset();
-
-    /**
-     * Drain the ring into the dense aggregates.  Publishing folds
-     * automatically when the ring fills; readers fold lazily.  Const
-     * because aggregation is observable state, not logical state.
-     */
-    void fold() const;
-
-    /** Visit every touched event in id order: f(EventId). */
+    /** Visit every event published at least once (even with a zero
+     * delta), in id order: f(EventId). */
     template <typename F>
     void
     forEachTouched(F &&f) const
     {
-        fold();
         for (std::size_t i = 0; i < kEventCount; ++i) {
             if (touched_flags[i])
                 f(static_cast<EventId>(i));
@@ -192,28 +137,16 @@ class TraceSink
     }
 
   private:
-    std::size_t ring_capacity;
-    std::uint64_t seq_counter = 0;
-    mutable std::vector<TraceRecord> ring;
+    std::array<std::uint64_t, kEventCount> counter_agg{};
+    std::array<TimerAgg, kEventCount> timer_agg{};
+    std::array<std::uint8_t, kEventCount> touched_flags{};
 
-    mutable std::array<std::uint64_t, kEventCount> counter_agg{};
-    mutable std::array<TimerAgg, kEventCount> timer_agg{};
-    mutable std::array<std::uint8_t, kEventCount> touched_flags{};
-
-    void
-    push(EventId id, EventKind kind, std::uint64_t value)
+    std::size_t
+    touch(EventId id)
     {
-        if (ring.capacity() == 0)
-            ring.reserve(ring_capacity);
-        if (ring.size() >= ring_capacity)
-            fold();
-        TraceRecord rec;
-        rec.event = static_cast<std::uint16_t>(id);
-        rec.kind = static_cast<std::uint8_t>(kind);
-        rec.seq = static_cast<std::uint32_t>(seq_counter);
-        rec.value = value;
-        ring.push_back(rec);
-        ++seq_counter;
+        auto ix = static_cast<std::size_t>(id);
+        touched_flags[ix] = 1;
+        return ix;
     }
 };
 

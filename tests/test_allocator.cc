@@ -437,10 +437,10 @@ TEST(AllocatorEquivalence, CacheMatchesDenseAcrossRandomEvents)
 
     // The tape must have exercised every cache serve mode, or the
     // equivalence above proved less than it claims.
-    EXPECT_GT(tel.counter("allocator.dp_rebuilds"), 0u);
-    EXPECT_GT(tel.counter("allocator.dp_full_hits"), 0u);
-    EXPECT_GT(tel.counter("allocator.dp_extends"), 0u);
-    EXPECT_GT(tel.counter("allocator.dp_combines"), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::AllocatorDpRebuilds), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::AllocatorDpFullHits), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::AllocatorDpExtends), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::AllocatorDpCombines), 0u);
 }
 
 TEST_F(AllocatorTest, CacheInvalidatesOnEpochBump)
@@ -451,23 +451,23 @@ TEST_F(AllocatorTest, CacheInvalidatesOnEpochBump)
     AllocatorCache cache;
 
     Allocation first = fast.allocate(ptrs, 30.0, &cache, 1);
-    EXPECT_EQ(tel.counter("allocator.dp_rebuilds"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::AllocatorDpRebuilds), 1u);
 
     Allocation again = fast.allocate(ptrs, 30.0, &cache, 1);
-    EXPECT_EQ(tel.counter("allocator.dp_full_hits"), 1u);
-    EXPECT_EQ(tel.counter("allocator.dp_rebuilds"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::AllocatorDpFullHits), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::AllocatorDpRebuilds), 1u);
     expectSameAllocation(first, again);
 
     // A recalibration epoch invalidates everything cached.
     Allocation bumped = fast.allocate(ptrs, 30.0, &cache, 2);
-    EXPECT_EQ(tel.counter("allocator.dp_rebuilds"), 2u);
+    EXPECT_EQ(tel.counter(trace::EventId::AllocatorDpRebuilds), 2u);
     expectSameAllocation(first, bumped);
 
     // Epoch 0 means no epoch discipline: the cache must be bypassed,
     // not trusted.
     fast.allocate(ptrs, 30.0, &cache, 0);
-    EXPECT_EQ(tel.counter("allocator.dp_rebuilds"), 2u);
-    EXPECT_EQ(tel.counter("allocator.dp_full_hits"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::AllocatorDpRebuilds), 2u);
+    EXPECT_EQ(tel.counter(trace::EventId::AllocatorDpFullHits), 1u);
 }
 
 TEST_F(AllocatorTest, SlackUpgradeKeepsGrantedBudget)

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "cf/profiler.hh"
 #include "cluster/node_pool.hh"
@@ -36,60 +38,70 @@ using power::defaultPlatform;
 TEST(Telemetry, CountersAccumulate)
 {
     Telemetry tel;
-    EXPECT_EQ(tel.counter("x"), 0u);
-    tel.count("x");
-    tel.count("x", 4);
-    EXPECT_EQ(tel.counter("x"), 5u);
-    EXPECT_EQ(tel.counter("never"), 0u);
+    EXPECT_EQ(tel.counter(trace::EventId::ControlPolls), 0u);
+    tel.count(trace::EventId::ControlPolls);
+    tel.count(trace::EventId::ControlPolls, 4);
+    EXPECT_EQ(tel.counter(trace::EventId::ControlPolls), 5u);
+    EXPECT_EQ(tel.counter(trace::EventId::FaultMeterNan), 0u);
+    // Only published events appear in the name-ordered view.
+    EXPECT_EQ(tel.counters(),
+              (std::map<std::string, std::uint64_t>{
+                  {"control.polls", 5}}));
 }
 
 TEST(Telemetry, TimersTrackCountTotalMax)
 {
     Telemetry tel;
-    tel.observe("t", 10);
-    tel.observe("t", 30);
-    tel.observe("t", 20);
-    TimerStat t = tel.timer("t");
+    tel.observe(trace::EventId::ManagerReallocate, 10);
+    tel.observe(trace::EventId::ManagerReallocate, 30);
+    tel.observe(trace::EventId::ManagerReallocate, 20);
+    TimerStat t = tel.timer(trace::EventId::ManagerReallocate);
     EXPECT_EQ(t.count, 3u);
-    EXPECT_EQ(t.total, 60);
-    EXPECT_EQ(t.max, 30);
-    EXPECT_EQ(tel.timer("never").count, 0u);
+    EXPECT_EQ(t.total, 60u);
+    EXPECT_EQ(t.max, 30u);
+    EXPECT_EQ(tel.timer(trace::EventId::AllocatorEsd).count, 0u);
+    EXPECT_EQ(tel.timers().size(), 1u);
+    EXPECT_TRUE(tel.counters().empty());
 }
 
 TEST(Telemetry, MergeFoldsCountersTimersAndDecisions)
 {
     Telemetry a;
-    a.count("c", 2);
-    a.observe("t", 10);
+    a.count(trace::EventId::ControlPolls, 2);
+    a.observe(trace::EventId::ManagerReallocate, 10);
+    a.gauge(trace::EventId::PoolInflight, 4);
     DecisionRecord rec;
     rec.plan = "idle";
     a.record(rec);
 
     Telemetry b;
-    b.count("c", 3);
-    b.count("only-b");
-    b.observe("t", 25);
+    b.count(trace::EventId::ControlPolls, 3);
+    b.count(trace::EventId::SelectorIdle);
+    b.observe(trace::EventId::ManagerReallocate, 25);
+    b.gauge(trace::EventId::PoolInflight, 1);
     rec.plan = "spatial-utility";
     b.record(rec);
 
     a.merge(b);
-    EXPECT_EQ(a.counter("c"), 5u);
-    EXPECT_EQ(a.counter("only-b"), 1u);
-    EXPECT_EQ(a.timer("t").count, 2u);
-    EXPECT_EQ(a.timer("t").max, 25);
+    EXPECT_EQ(a.counter(trace::EventId::ControlPolls), 5u);
+    EXPECT_EQ(a.counter(trace::EventId::SelectorIdle), 1u);
+    EXPECT_EQ(a.timer(trace::EventId::ManagerReallocate).count, 2u);
+    EXPECT_EQ(a.timer(trace::EventId::ManagerReallocate).max, 25u);
+    // Gauges: the later merge wins.
+    EXPECT_EQ(a.counter(trace::EventId::PoolInflight), 1u);
     ASSERT_EQ(a.decisions().size(), 2u);
     EXPECT_EQ(a.decisions()[1].plan, "spatial-utility");
 
-    a.reset();
-    EXPECT_EQ(a.counter("c"), 0u);
+    a = Telemetry{};
+    EXPECT_EQ(a.counter(trace::EventId::ControlPolls), 0u);
     EXPECT_TRUE(a.decisions().empty());
 }
 
 TEST(Telemetry, DumpsContainTheirContent)
 {
     Telemetry tel;
-    tel.count("decisions.total", 7);
-    tel.observe("alloc", toTicks(0.5));
+    tel.count(trace::EventId::ManagerReallocations, 7);
+    tel.observe(trace::EventId::ManagerReallocate, toTicks(0.5));
     DecisionRecord rec;
     rec.trigger = "E1-cap-change";
     rec.plan = "fair-rapl-space";
@@ -97,13 +109,13 @@ TEST(Telemetry, DumpsContainTheirContent)
 
     std::ostringstream text;
     tel.dumpText(text);
-    EXPECT_NE(text.str().find("decisions.total = 7"),
+    EXPECT_NE(text.str().find("manager.reallocations = 7"),
               std::string::npos);
     EXPECT_NE(text.str().find("fair-rapl-space"), std::string::npos);
 
     std::ostringstream json;
     tel.dumpJson(json);
-    EXPECT_NE(json.str().find("\"decisions.total\":7"),
+    EXPECT_NE(json.str().find("\"manager.reallocations\":7"),
               std::string::npos);
     EXPECT_NE(json.str().find("\"trigger\":\"E1-cap-change\""),
               std::string::npos);
@@ -140,7 +152,7 @@ TEST(LearningPipeline, OracleCalibrationIsImmediate)
 
     UtilityCurve curve = pipe.utilityFor(id, KnobFreedom::All);
     EXPECT_GT(curve.maxPower(), curve.minPower());
-    EXPECT_EQ(tel.counter("learning.oracle_calibrations"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::LearningOracleCalibrations), 1u);
 }
 
 TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
@@ -167,7 +179,7 @@ TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
     EXPECT_EQ(done[0], id);
     EXPECT_TRUE(pipe.calibrated(id));
     EXPECT_GT(pipe.lastCalibrationLatency(), 0);
-    EXPECT_EQ(tel.counter("learning.calibrations_finished"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::LearningCalibrationsFinished), 1u);
 }
 
 TEST(LearningPipeline, SurfaceEpochTracksRecalibrationsAndRearrivals)
@@ -267,7 +279,7 @@ TEST_F(PlanSelectorTest, NoAppsMeansIdle)
     PlanInputs in;
     in.appCount = 0;
     EXPECT_EQ(selector.select(in).choice, PlanChoice::Idle);
-    EXPECT_EQ(tel.counter("selector.idle"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::SelectorIdle), 1u);
 }
 
 TEST_F(PlanSelectorTest, NoCapMeansUncappedRun)
@@ -321,7 +333,7 @@ TEST_F(PlanSelectorTest, UtilityAwareSelectsSpatialAtAmpleBudget)
     EXPECT_TRUE(d.driftDetection); // E4 active only in Space mode
     EXPECT_TRUE(d.alloc.allScheduled());
     EXPECT_GT(d.objective, 0.0);
-    EXPECT_EQ(tel.counter("selector.spatial-utility"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::SelectorSpatialUtility), 1u);
 }
 
 TEST_F(PlanSelectorTest, UtilityAwareFallsBackToTemporalWhenTight)
@@ -391,8 +403,8 @@ TEST(NodePool, BuildsManagedNodesAndAggregatesTelemetry)
     EXPECT_GT(pool.totalEnergy(), 0.0);
     Telemetry cluster_tel = pool.aggregateTelemetry();
     // Both nodes reallocated at least once each.
-    EXPECT_GE(cluster_tel.counter("manager.reallocations"), 2u);
-    EXPECT_EQ(cluster_tel.counter("manager.reallocations"),
+    EXPECT_GE(cluster_tel.counter(trace::EventId::ManagerReallocations), 2u);
+    EXPECT_EQ(cluster_tel.counter(trace::EventId::ManagerReallocations),
               pool[0].manager->reallocationCount() +
                   pool[1].manager->reallocationCount());
 }
@@ -440,15 +452,15 @@ TEST(ControlPlane, ScriptedEventsLandOnTheTelemetryBus)
     const Telemetry &tel = manager.telemetry();
 
     // Every event kind was observed and counted.
-    EXPECT_EQ(tel.counter("event.E1-cap-change"), 1u);
-    EXPECT_EQ(tel.counter("event.E2-arrival"), 2u);
-    EXPECT_GE(tel.counter("event.E3-departure"), 1u);
-    EXPECT_GE(tel.counter("event.E4-drift"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::EventCapChange), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::EventArrival), 2u);
+    EXPECT_GE(tel.counter(trace::EventId::EventDeparture), 1u);
+    EXPECT_GE(tel.counter(trace::EventId::EventDrift), 1u);
 
     // Each reallocation produced exactly one decision record.
-    EXPECT_EQ(tel.counter("manager.reallocations"),
+    EXPECT_EQ(tel.counter(trace::EventId::ManagerReallocations),
               manager.reallocationCount());
-    EXPECT_EQ(tel.timer("manager.reallocate").count,
+    EXPECT_EQ(tel.timer(trace::EventId::ManagerReallocate).count,
               manager.reallocationCount());
     ASSERT_EQ(tel.decisions().size(), manager.reallocationCount());
 
@@ -477,7 +489,7 @@ TEST(ControlPlane, ScriptedEventsLandOnTheTelemetryBus)
             plans += value;
     }
     EXPECT_EQ(plans, manager.reallocationCount());
-    EXPECT_GE(tel.counter("coordinator.enter.space"), 1u);
+    EXPECT_GE(tel.counter(trace::EventId::CoordEnterSpace), 1u);
 }
 
 TEST(ControlPlane, KilledAppIsReapedAndReplanned)
@@ -498,8 +510,8 @@ TEST(ControlPlane, KilledAppIsReapedAndReplanned)
     manager.run(toTicks(1.0));
 
     const Telemetry &tel = manager.telemetry();
-    EXPECT_GE(tel.counter("event.E3-departure"), 1u);
-    EXPECT_EQ(tel.counter("degraded.app_reaped"), 1u);
+    EXPECT_GE(tel.counter(trace::EventId::EventDeparture), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::DegradedAppReaped), 1u);
     bool saw_e3 = false;
     for (const AccountantEvent &ev : manager.eventLog())
         saw_e3 |=

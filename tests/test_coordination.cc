@@ -223,7 +223,7 @@ TEST_F(CoordinatorTest, EmptyPlansDegradeToIdle)
     EXPECT_EQ(coord.mode(), CoordinationMode::Idle);
     EXPECT_FALSE(coord.inChargePhase());
 
-    EXPECT_EQ(tel.counter("coordinator.empty_plan"), 3u);
+    EXPECT_EQ(tel.counter(trace::EventId::CoordEmptyPlan), 3u);
 }
 
 TEST_F(CoordinatorTest, TimeSharesAwayFromOneAreRenormalized)
@@ -239,7 +239,7 @@ TEST_F(CoordinatorTest, TimeSharesAwayFromOneAreRenormalized)
     // 3:1 ratio, but summing to 2.0 instead of 1.0.
     c.coordinateTime(server, {da, db}, {1.5, 0.5});
     EXPECT_EQ(c.mode(), CoordinationMode::Time);
-    EXPECT_EQ(tel.counter("coordinator.share_renormalized"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::CoordShareRenormalized), 1u);
 
     Tick a_on = 0, b_on = 0;
     for (int i = 0; i < 800; ++i) {
@@ -294,10 +294,10 @@ TEST_F(CoordinatorTest, ModeTransitionsKeepSlotAndPhaseInvariants)
     EXPECT_FALSE(server.app(b).running());
 
     // Every transition was published on the bus.
-    EXPECT_EQ(tel.counter("coordinator.enter.space"), 1u);
-    EXPECT_EQ(tel.counter("coordinator.enter.time"), 1u);
-    EXPECT_EQ(tel.counter("coordinator.enter.esd"), 1u);
-    EXPECT_EQ(tel.counter("coordinator.enter.idle"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::CoordEnterSpace), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::CoordEnterTime), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::CoordEnterEsd), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::CoordEnterIdle), 1u);
 }
 
 TEST_F(CoordinatorTest, EsdRequestWithoutBatteryDegradesToTime)
@@ -311,7 +311,7 @@ TEST_F(CoordinatorTest, EsdRequestWithoutBatteryDegradesToTime)
     Directive db{b, defaultPlatform().maxSetting(), false, 0.0};
     coord.coordinateEsd(server, {da, db}, 0.5);
     EXPECT_EQ(coord.mode(), CoordinationMode::Time);
-    EXPECT_EQ(tel.counter("degraded.esd_to_time"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::DegradedEsdToTime), 1u);
     // The demoted schedule still makes progress.
     EXPECT_NE(coord.activeSlot(), -1);
     EXPECT_TRUE(server.app(a).running() || server.app(b).running());
@@ -332,7 +332,7 @@ TEST_F(CoordinatorTest, EsdBatteryLossMidRunDemotesToTime)
     server.setEsdAvailable(false);
     coord.advance(server);
     EXPECT_EQ(coord.mode(), CoordinationMode::Time);
-    EXPECT_EQ(tel.counter("degraded.esd_to_time"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::DegradedEsdToTime), 1u);
 }
 
 TEST_F(CoordinatorTest, SlotRotationKeepsPeriodOverLongHorizons)
@@ -357,8 +357,8 @@ TEST_F(CoordinatorTest, SlotRotationKeepsPeriodOverLongHorizons)
     // Two rotations per duty period.  The drifting implementation
     // (slot_started reset to `now`) stretched each period by a full
     // step and managed only ~363 rotations over this horizon.
-    EXPECT_GE(tel.counter("coordinator.slot_rotations"), 395u);
-    EXPECT_LE(tel.counter("coordinator.slot_rotations"), 401u);
+    EXPECT_GE(tel.counter(trace::EventId::CoordSlotRotations), 395u);
+    EXPECT_LE(tel.counter(trace::EventId::CoordSlotRotations), 401u);
 }
 
 // --- Accountant ----------------------------------------------------------------

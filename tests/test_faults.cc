@@ -251,17 +251,17 @@ TEST(Faults, MeterFaultFallsBackThenWatchdogThenRecovers)
     };
 
     runFor(0.45); // healthy
-    EXPECT_EQ(tel.counter("fault.meter_nan"), 0u);
+    EXPECT_EQ(tel.counter(trace::EventId::FaultMeterNan), 0u);
     EXPECT_EQ(loop.meterStaleSince(), maxTick);
 
     runFor(0.6); // ~1.05 s: inside the outage, past the watchdog
-    EXPECT_GT(tel.counter("fault.meter_nan"), 0u);
-    EXPECT_GT(tel.counter("degraded.meter_fallback"), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::FaultMeterNan), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::DegradedMeterFallback), 0u);
     EXPECT_NE(loop.meterStaleSince(), maxTick);
-    EXPECT_GT(tel.counter("degraded.meter_watchdog"), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::DegradedMeterWatchdog), 0u);
 
     runFor(0.8); // past 1.5 s: readings are back
-    EXPECT_GE(tel.counter("degraded.meter_recovered"), 1u);
+    EXPECT_GE(tel.counter(trace::EventId::DegradedMeterRecovered), 1u);
     EXPECT_EQ(loop.meterStaleSince(), maxTick);
 }
 
@@ -285,8 +285,8 @@ TEST(Faults, EsdLossDemotesToTimeAndRestores)
 
     manager.run(toTicks(1.5));
     const core::Telemetry &tel = manager.telemetry();
-    EXPECT_GE(tel.counter("fault.esd_loss"), 1u);
-    EXPECT_GE(tel.counter("degraded.esd_unavailable"), 1u);
+    EXPECT_GE(tel.counter(trace::EventId::FaultEsdLoss), 1u);
+    EXPECT_GE(tel.counter(trace::EventId::DegradedEsdUnavailable), 1u);
     // The battery is still installed but the management plane cannot
     // see it, and the replan stopped relying on it.
     EXPECT_TRUE(server.esdInstalled());
@@ -294,7 +294,7 @@ TEST(Faults, EsdLossDemotesToTimeAndRestores)
     EXPECT_NE(manager.mode(), core::CoordinationMode::EsdAssisted);
 
     manager.run(toTicks(2.0)); // past the 2 s outage
-    EXPECT_GE(tel.counter("degraded.esd_restored"), 1u);
+    EXPECT_GE(tel.counter(trace::EventId::DegradedEsdRestored), 1u);
     EXPECT_TRUE(server.hasEsd());
 }
 
@@ -319,11 +319,11 @@ TEST(Faults, KilledAppsAreReapedAndAccounted)
     EXPECT_FALSE(server.hasApp(b));
     EXPECT_FALSE(manager.anyAppRunning());
     const core::Telemetry &tel = manager.telemetry();
-    EXPECT_EQ(tel.counter("fault.app_kill"), 2u);
+    EXPECT_EQ(tel.counter(trace::EventId::FaultAppKill), 2u);
     // The Accountant noticed the vanished apps and synthesized their
     // E3s; the manager reaped the already-gone entries.
-    EXPECT_EQ(tel.counter("event.E3-departure"), 2u);
-    EXPECT_EQ(tel.counter("degraded.app_reaped"), 2u);
+    EXPECT_EQ(tel.counter(trace::EventId::EventDeparture), 2u);
+    EXPECT_EQ(tel.counter(trace::EventId::DegradedAppReaped), 2u);
     for (const core::AppRecord &rec : manager.records()) {
         EXPECT_TRUE(rec.done);
         EXPECT_GT(rec.beats, 0.0); // pre-kill progress was harvested
@@ -346,8 +346,8 @@ TEST(Faults, StuckActuationDemotesToFairRapl)
     manager.run(toTicks(1.0));
 
     const core::Telemetry &tel = manager.telemetry();
-    EXPECT_GT(tel.counter("fault.actuation_stuck"), 0u);
-    EXPECT_GT(tel.counter("degraded.knobs_to_rapl"), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::FaultActuationStuck), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::DegradedKnobsToRapl), 0u);
     // The fallback plan is the hardware-enforced fair split, not a
     // knob-actuated utility plan.
     bool any_fair_rapl = false;
@@ -377,16 +377,16 @@ TEST(Faults, NodeCrashIsolatesThenRestarts)
 
     core::Telemetry tel;
     pool.runAll(toTicks(1.0), &tel);
-    EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
-    EXPECT_EQ(tel.counter("degraded.node_isolated"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::FaultNodeCrash), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::DegradedNodeIsolated), 1u);
     // The crashed node sat the interval out; the others advanced.
     EXPECT_EQ(pool[1].server->now(), 0u);
     EXPECT_EQ(pool[0].server->now(), toTicks(1.0));
     EXPECT_EQ(pool[2].server->now(), toTicks(1.0));
 
     pool.runAll(toTicks(1.0), &tel); // attempt 2: healthy again
-    EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
-    EXPECT_EQ(tel.counter("degraded.node_restarted"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::FaultNodeCrash), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::DegradedNodeRestarted), 1u);
     EXPECT_EQ(pool[1].server->now(), toTicks(1.0)); // lags one interval
     EXPECT_EQ(pool[0].server->now(), toTicks(2.0));
 }
@@ -412,10 +412,10 @@ TEST(Faults, ConsecutiveCrashesBackOffExponentially)
     // Attempt 4: healthy run.
     for (int i = 0; i < 4; ++i)
         pool.runAll(toTicks(0.5), &tel);
-    EXPECT_EQ(tel.counter("fault.node_crash"), 2u);
-    EXPECT_EQ(tel.counter("degraded.node_isolated"), 2u);
-    EXPECT_EQ(tel.counter("degraded.node_skipped"), 1u);
-    EXPECT_EQ(tel.counter("degraded.node_restarted"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::FaultNodeCrash), 2u);
+    EXPECT_EQ(tel.counter(trace::EventId::DegradedNodeIsolated), 2u);
+    EXPECT_EQ(tel.counter(trace::EventId::DegradedNodeSkipped), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::DegradedNodeRestarted), 1u);
     EXPECT_EQ(pool[0].server->now(), toTicks(0.5)); // one good interval
     EXPECT_EQ(pool[1].server->now(), toTicks(2.0)); // all four
 }
@@ -442,7 +442,7 @@ TEST(Faults, CrashBackoffShiftClampedForHugeStreaks)
     pool[0].crashStreak = 1000;
     core::Telemetry tel;
     pool.runAll(toTicks(0.5), &tel);
-    EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::FaultNodeCrash), 1u);
     EXPECT_EQ(pool[0].crashStreak, 1001);
     EXPECT_EQ(pool[0].cooldown, 8);
 

@@ -345,10 +345,9 @@ TEST(ManagerInteractive, RecordsTrackQueueAndSloAttainment)
     }
     EXPECT_TRUE(found);
     // The interactive.* trace events surfaced on the bus.
-    EXPECT_GT(manager.telemetry().counter("interactive.arrivals"),
-              0u);
-    EXPECT_GT(manager.telemetry().counter("interactive.completions"),
-              0u);
+    const core::Telemetry &tel = manager.telemetry();
+    EXPECT_GT(tel.counter(trace::EventId::InteractiveArrivals), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::InteractiveCompletions), 0u);
 }
 
 } // namespace

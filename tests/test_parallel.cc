@@ -260,19 +260,19 @@ TEST(LearningPipeline, CacheHitSkipsTheFitTimer)
     EXPECT_FALSE(pipe.startCalibration(id));
     server.run(toTicks(10.0));
     ASSERT_EQ(pipe.finishDueCalibrations().size(), 1u);
-    EXPECT_EQ(tel.counter("learning.als_fits"), 1u);
-    EXPECT_EQ(tel.timer("learning.als_fit").count, 1u);
-    EXPECT_EQ(tel.counter("learning.surface_cache_hits"), 0u);
-    EXPECT_GT(tel.counter("learning.als_sweeps"), 0u);
+    EXPECT_EQ(tel.counter(trace::EventId::LearningAlsFits), 1u);
+    EXPECT_EQ(tel.timer(trace::EventId::LearningAlsFit).count, 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::LearningSurfaceCacheHits), 0u);
+    EXPECT_GT(tel.counter(trace::EventId::LearningAlsSweeps), 0u);
 
     // Recalibrate with the identical (exhaustive) mask: the surface
     // is served from the cache — zero sweeps, fit timer untouched.
     EXPECT_FALSE(pipe.startCalibration(id));
     server.run(toTicks(10.0));
     ASSERT_EQ(pipe.finishDueCalibrations().size(), 1u);
-    EXPECT_EQ(tel.counter("learning.surface_cache_hits"), 1u);
-    EXPECT_EQ(tel.counter("learning.als_fits"), 1u);
-    EXPECT_EQ(tel.timer("learning.als_fit").count, 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::LearningSurfaceCacheHits), 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::LearningAlsFits), 1u);
+    EXPECT_EQ(tel.timer(trace::EventId::LearningAlsFit).count, 1u);
     EXPECT_TRUE(pipe.calibrated(id));
 }
 
@@ -361,7 +361,7 @@ TEST(DeterminismGuard, ShardSizeAndWidthDoNotAffectReplayResults)
         core::Telemetry tel = cm.aggregateTelemetry();
         // Sharding must not swallow per-node observations: still one
         // per (node, interval).
-        EXPECT_EQ(tel.timer("cluster.node_step").count, 15u);
+        EXPECT_EQ(tel.timer(trace::EventId::ClusterNodeStep).count, 15u);
         return std::tuple(res.totalEnergy, res.aggregatePerf,
                           res.avgClusterPower);
     };
@@ -433,8 +433,8 @@ TEST(ClusterTelemetry, PerIntervalStepTimersAreObserved)
     core::Telemetry tel = cm.aggregateTelemetry();
     // One whole-interval observation per cap value, one per-node
     // observation per (node, interval).
-    EXPECT_EQ(tel.timer("cluster.step").count, 3u);
-    EXPECT_EQ(tel.timer("cluster.node_step").count, 6u);
+    EXPECT_EQ(tel.timer(trace::EventId::ClusterStep).count, 3u);
+    EXPECT_EQ(tel.timer(trace::EventId::ClusterNodeStep).count, 6u);
 }
 
 } // namespace

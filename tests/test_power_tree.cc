@@ -375,8 +375,8 @@ TEST(ClusterTree, ShardedStepIsBitIdenticalAcrossShardSizeAndWidth)
         ClusterResult res = cm.replay(shortCaps());
         core::Telemetry tel = cm.aggregateTelemetry();
         return std::tuple(res.totalEnergy, res.aggregatePerf,
-                          tel.counter("fault.node_crash"),
-                          tel.counter("degraded.node_isolated"));
+                          tel.counter(trace::EventId::FaultNodeCrash),
+                          tel.counter(trace::EventId::DegradedNodeIsolated));
     };
     auto base = replayWith(1, 1);
     EXPECT_EQ(base, replayWith(64, 1));

@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the binary trace core and the Telemetry façade riding on
- * it: the event registry, TraceSink fold/merge semantics, the binary
- * record-log container, façade routing (registered names onto dense
- * ids, unknown names onto the overflow map), the decision-ring bound
- * across merges, JSON escaping/non-finite hygiene, and trace/legacy
- * aggregate equivalence under TelemetryShards-style parallel publish.
+ * Tests for the trace core and the Telemetry bus riding on it: the
+ * event registry, TraceSink aggregate/merge semantics, the binary
+ * record-log container, the name-ordered views over the dense store,
+ * the decision-ring bound across merges, JSON escaping/non-finite
+ * hygiene, and golden hashes of three aggregate views.
  */
 
 #include <gtest/gtest.h>
@@ -14,13 +13,18 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "cluster/cluster_manager.hh"
 #include "core/telemetry.hh"
+#include "serve/engine.hh"
+#include "telemetry_golden.hh"
 #include "trace/log.hh"
 #include "trace/trace.hh"
-#include "util/thread_pool.hh"
 
 namespace psm
 {
@@ -29,7 +33,6 @@ namespace
 
 using core::DecisionRecord;
 using core::Telemetry;
-using core::TelemetryShards;
 using core::TimerStat;
 
 // --- Event registry ------------------------------------------------
@@ -37,16 +40,17 @@ using core::TimerStat;
 TEST(TraceRegistry, NamesRoundTripToDenseIds)
 {
     ASSERT_GT(trace::kEventCount, 0u);
+    // Names are the output keys of every view, so they must be unique
+    // and non-empty: name -> id is then a bijection.
+    std::map<std::string_view, trace::EventId> by_name;
     for (std::size_t i = 0; i < trace::kEventCount; ++i) {
         auto id = static_cast<trace::EventId>(i);
         std::string_view name = trace::eventName(id);
         ASSERT_FALSE(name.empty());
-        trace::EventId back;
-        ASSERT_TRUE(trace::lookupEvent(name, back)) << name;
-        EXPECT_EQ(back, id) << name;
+        ASSERT_TRUE(by_name.emplace(name, id).second) << name;
     }
-    trace::EventId out;
-    EXPECT_FALSE(trace::lookupEvent("definitely.not.registered", out));
+    for (const auto &[name, id] : by_name)
+        EXPECT_EQ(trace::eventName(id), name);
 }
 
 // --- TraceSink -----------------------------------------------------
@@ -54,23 +58,18 @@ TEST(TraceRegistry, NamesRoundTripToDenseIds)
 TEST(TraceSink, FoldAndMergeSemantics)
 {
     trace::TraceSink a;
-    // Push well past the ring capacity: the automatic fold must keep
-    // aggregates exact.
-    for (std::size_t i = 0;
-         i < trace::TraceSink::kDefaultRingCapacity * 3 + 17; ++i)
+    for (std::size_t i = 0; i < 1000; ++i)
         a.count(trace::EventId::ControlPolls);
+    a.count(trace::EventId::SelectorIdle, 0);
     a.observe(trace::EventId::ManagerReallocate, 10);
     a.observe(trace::EventId::ManagerReallocate, 4);
     a.gauge(trace::EventId::PoolInflight, 5);
 
-    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls),
-              trace::TraceSink::kDefaultRingCapacity * 3 + 17);
+    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls), 1000u);
     trace::TimerAgg t = a.timerValue(trace::EventId::ManagerReallocate);
     EXPECT_EQ(t.count, 2u);
     EXPECT_EQ(t.total, 14u);
     EXPECT_EQ(t.max, 10u);
-    EXPECT_TRUE(a.touched(trace::EventId::PoolInflight));
-    EXPECT_FALSE(a.touched(trace::EventId::FaultMeterNan));
 
     trace::TraceSink b;
     b.count(trace::EventId::ControlPolls, 3);
@@ -78,18 +77,27 @@ TEST(TraceSink, FoldAndMergeSemantics)
     b.gauge(trace::EventId::PoolInflight, 9);
 
     a.mergeFrom(b);
-    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls),
-              trace::TraceSink::kDefaultRingCapacity * 3 + 20);
+    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls), 1003u);
     t = a.timerValue(trace::EventId::ManagerReallocate);
     EXPECT_EQ(t.count, 3u);
     EXPECT_EQ(t.total, 34u);
     EXPECT_EQ(t.max, 20u);
     // Gauges: the merged-in sink's sample wins.
     EXPECT_EQ(a.counterValue(trace::EventId::PoolInflight), 9u);
+    // Merging an untouched sink changes nothing (a gauge it never
+    // sampled keeps this sink's value).
+    a.mergeFrom(trace::TraceSink{});
+    EXPECT_EQ(a.counterValue(trace::EventId::PoolInflight), 9u);
+    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls), 1003u);
 
-    a.reset();
-    EXPECT_TRUE(a.empty());
-    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls), 0u);
+    // Touched events in id order; the zero-delta SelectorIdle counts.
+    std::vector<trace::EventId> touched;
+    a.forEachTouched([&](trace::EventId id) { touched.push_back(id); });
+    EXPECT_EQ(touched, (std::vector<trace::EventId>{
+                           trace::EventId::ControlPolls,
+                           trace::EventId::ManagerReallocate,
+                           trace::EventId::SelectorIdle,
+                           trace::EventId::PoolInflight}));
 }
 
 // --- Binary record-log container -----------------------------------
@@ -141,54 +149,31 @@ TEST(TraceLog, ContainerRoundTripAndCorruption)
     std::remove(path.c_str());
 }
 
-// --- Façade routing ------------------------------------------------
+// --- Name-ordered views over the dense store ----------------------
 
 TEST(TelemetryTrace, StringNamesRouteToDenseSlots)
 {
-    Telemetry tel(Telemetry::Backend::Trace);
-    tel.count("control.polls", 3);
+    Telemetry tel;
+    tel.count(trace::EventId::ControlPolls, 3);
     tel.count(trace::EventId::ControlPolls, 2);
-    EXPECT_EQ(tel.counter("control.polls"), 5u);
-    EXPECT_EQ(tel.counter(trace::EventId::ControlPolls), 5u);
-
-    tel.observe("manager.reallocate", 7);
+    tel.observe(trace::EventId::ManagerReallocate, 7);
     tel.observe(trace::EventId::ManagerReallocate, 3);
-    TimerStat t = tel.timer("manager.reallocate");
+    tel.gauge(trace::EventId::ServeShed, 4);
+
+    // Each view entry is keyed by the registry name of exactly one
+    // dense slot and carries that slot's aggregate.
+    const auto counters = tel.counters();
+    EXPECT_EQ(counters,
+              (std::map<std::string, std::uint64_t>{
+                  {"control.polls", 5}, {"serve.shed", 4}}));
+    const auto timers = tel.timers();
+    ASSERT_EQ(timers.size(), 1u);
+    const TimerStat &t = timers.at("manager.reallocate");
     EXPECT_EQ(t.count, 2u);
     EXPECT_EQ(t.total, 10u);
     EXPECT_EQ(t.max, 7u);
-
-    // Registered names must not leak into the overflow map: the view
-    // carries exactly one entry for the routed key.
-    EXPECT_EQ(tel.counters().count("control.polls"), 1u);
-    EXPECT_EQ(tel.counters().at("control.polls"), 5u);
-}
-
-TEST(TelemetryTrace, UnregisteredNamesKeepMapSemantics)
-{
-    Telemetry tel(Telemetry::Backend::Trace);
-    tel.count("x");
-    tel.count("x", 4);
-    tel.observe("custom.duration", 9);
-    EXPECT_EQ(tel.counter("x"), 5u);
-    EXPECT_EQ(tel.timer("custom.duration").max, 9u);
-    EXPECT_EQ(tel.counter("never.bumped"), 0u);
-    // Mixed views: overflow and registered names in one name-ordered
-    // map.
-    tel.count(trace::EventId::ControlPolls);
-    const auto &counters = tel.counters();
-    EXPECT_EQ(counters.size(), 2u);
-    EXPECT_EQ(counters.begin()->first, "control.polls");
-}
-
-TEST(TelemetryTrace, BackendDefaultFlips)
-{
-    Telemetry::Backend saved = Telemetry::processDefault();
-    Telemetry::setProcessDefault(Telemetry::Backend::Legacy);
-    EXPECT_EQ(Telemetry().backend(), Telemetry::Backend::Legacy);
-    Telemetry::setProcessDefault(Telemetry::Backend::Trace);
-    EXPECT_EQ(Telemetry().backend(), Telemetry::Backend::Trace);
-    Telemetry::setProcessDefault(saved);
+    EXPECT_EQ(t.count,
+              tel.timer(trace::EventId::ManagerReallocate).count);
 }
 
 // --- Decision ring bound across merge ------------------------------
@@ -207,8 +192,8 @@ TEST(TelemetryTrace, DecisionRingBoundHeldAcrossMerge)
         }
     };
     const std::size_t n = Telemetry::maxDecisions - 1000;
-    Telemetry a(Telemetry::Backend::Trace);
-    Telemetry b(Telemetry::Backend::Trace);
+    Telemetry a;
+    Telemetry b;
     fill(a, 0, n);
     fill(b, 1u << 20, n);
     ASSERT_EQ(a.decisions().size(), n);
@@ -216,7 +201,7 @@ TEST(TelemetryTrace, DecisionRingBoundHeldAcrossMerge)
     // Two near-full logs: the merged ring must stay bounded, keeping
     // the newest records (all of b's survive, a's oldest drop).
     a.merge(b);
-    const auto &log = a.decisions();
+    const auto log = a.decisions();
     ASSERT_EQ(log.size(), Telemetry::maxDecisions);
     const std::size_t dropped = 2 * n - Telemetry::maxDecisions;
     EXPECT_EQ(log.front().when, static_cast<Tick>(dropped));
@@ -229,7 +214,7 @@ TEST(TelemetryTrace, DecisionRingBoundHeldAcrossMerge)
 
 TEST(TelemetryTrace, JsonEscapesControlCharacters)
 {
-    Telemetry tel(Telemetry::Backend::Trace);
+    Telemetry tel;
     DecisionRecord rec;
     rec.trigger = std::string("a\"b\\c\nd\te\rf\x01g\bh\ff");
     rec.policy = "p";
@@ -250,110 +235,109 @@ TEST(TelemetryTrace, JsonEscapesControlCharacters)
 
 TEST(TelemetryTrace, JsonNonFiniteNumbersAreNull)
 {
-    for (auto backend :
-         {Telemetry::Backend::Trace, Telemetry::Backend::Legacy}) {
-        Telemetry tel(backend);
-        DecisionRecord rec;
-        rec.trigger = "t";
-        rec.policy = "p";
-        rec.plan = "q";
-        rec.mode = "m";
-        rec.objective = std::numeric_limits<double>::quiet_NaN();
-        rec.budget = std::numeric_limits<double>::infinity();
-        tel.record(rec);
+    Telemetry tel;
+    DecisionRecord rec;
+    rec.trigger = "t";
+    rec.policy = "p";
+    rec.plan = "q";
+    rec.mode = "m";
+    rec.objective = std::numeric_limits<double>::quiet_NaN();
+    rec.budget = std::numeric_limits<double>::infinity();
+    tel.record(rec);
 
-        std::ostringstream os;
-        tel.dumpJson(os);
-        std::string json = os.str();
-        EXPECT_NE(json.find("\"objective\":null"), std::string::npos)
-            << json;
-        EXPECT_NE(json.find("\"budget_w\":null"), std::string::npos)
-            << json;
-        EXPECT_EQ(json.find("nan"), std::string::npos) << json;
-        EXPECT_EQ(json.find("inf"), std::string::npos) << json;
-    }
+    std::ostringstream os;
+    tel.dumpJson(os);
+    std::string json = os.str();
+    EXPECT_NE(json.find("\"objective\":null"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"budget_w\":null"), std::string::npos) << json;
+    EXPECT_EQ(json.find("nan"), std::string::npos) << json;
+    EXPECT_EQ(json.find("inf"), std::string::npos) << json;
 }
 
-// --- Trace/legacy equivalence under parallel publish ---------------
+// --- Golden aggregates -----------------------------------------------
+//
+// FNV-1a hashes of three aggregate views, pinned on the bus as it was
+// before the legacy backend, the overflow maps and the record ring
+// went: the single dense store must reproduce them bit for bit.
 
-void
-publishShardMix(TelemetryShards &shards)
+TEST(TelemetryGolden, MixedStreamWithGaugeAndShardMerge)
 {
-    util::ThreadPool::global().parallelFor(
-        shards.size(), [&](std::size_t s) {
-            Telemetry &bus = shards.shard(s);
-            for (std::size_t i = 0; i < 200; ++i) {
-                bus.count(trace::EventId::ControlPolls);
-                bus.count("allocator.allocate", s + 1);
-                bus.observe(trace::EventId::ManagerReallocate,
-                            static_cast<Tick>((s * 7 + i) % 11));
-                bus.observe("custom.timer",
-                            static_cast<Tick>(i % 5 + s));
-                bus.count("custom.key", 2);
-            }
-            DecisionRecord rec;
-            rec.when = static_cast<Tick>(s);
-            rec.trigger = "shard";
-            rec.policy = "p";
-            rec.plan = "q";
-            rec.mode = "m";
-            bus.record(rec);
-        });
+    core::Telemetry bus = golden::goldenMixedBus();
+    EXPECT_EQ(bus.counter(trace::EventId::PoolQueueDepth), 4999u + 7u);
+    EXPECT_EQ(golden::telemetryHash(bus, true), golden::kGoldenMixedHash)
+        << std::hex << golden::telemetryHash(bus, true);
 }
 
-TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
+TEST(TelemetryGolden, ClusterTreeReplayAggregate)
 {
-    Telemetry::Backend saved = Telemetry::processDefault();
+    cluster::ClusterConfig cfg;
+    cfg.servers = 8;
+    cfg.topology = cluster::Topology::Tree;
+    cfg.treeDepth = 3;
+    cfg.treeFanout = 2;
+    cfg.oversubscription = 1.1;
+    cfg.leafCapacity = 150.0;
+    cfg.demandAwareSplit = true;
+    cfg.shardSize = 3; // ragged shards: the pool merge runs per batch
+    cluster::ClusterManager cm(cfg);
+    cm.populateDefault();
+    cluster::PowerTrace caps;
+    caps.interval = toTicks(5.0);
+    caps.values = {400.0, 360.0, 430.0, 390.0};
+    cm.replay(caps);
+    std::uint64_t hash =
+        golden::telemetryHash(cm.aggregateTelemetry(), false);
+    EXPECT_EQ(hash, 0xb2d60a0cb8f01177ULL) << std::hex << hash;
+}
 
-    Telemetry::setProcessDefault(Telemetry::Backend::Trace);
-    TelemetryShards trace_shards(8);
-    publishShardMix(trace_shards);
-    Telemetry trace_bus(Telemetry::Backend::Trace);
-    trace_shards.mergeInto(trace_bus);
-
-    Telemetry::setProcessDefault(Telemetry::Backend::Legacy);
-    TelemetryShards legacy_shards(8);
-    publishShardMix(legacy_shards);
-    Telemetry legacy_bus(Telemetry::Backend::Legacy);
-    legacy_shards.mergeInto(legacy_bus);
-
-    Telemetry::setProcessDefault(saved);
-
-    // Counter views must be identical maps.
-    EXPECT_EQ(trace_bus.counters(), legacy_bus.counters());
-
-    // Timer views: same keys, same aggregates.
-    const auto &tt = trace_bus.timers();
-    const auto &lt = legacy_bus.timers();
-    ASSERT_EQ(tt.size(), lt.size());
-    for (const auto &[name, stat] : tt) {
-        auto it = lt.find(name);
-        ASSERT_NE(it, lt.end()) << name;
-        EXPECT_EQ(stat.count, it->second.count) << name;
-        EXPECT_EQ(stat.total, it->second.total) << name;
-        EXPECT_EQ(stat.max, it->second.max) << name;
+TEST(TelemetryGolden, ServeEngineSnapshotCounters)
+{
+    serve::EngineConfig cfg;
+    cfg.nodes = 2;
+    cfg.serverCap = 80.0;
+    cfg.seedBase = 23;
+    serve::ServeEngine engine(cfg);
+    serve::EventRequest ev;
+    ev.op = serve::EventOp::Arrival;
+    for (std::uint32_t w = 0; w < 4; ++w) {
+        ev.workload = w;
+        ev.node = -1;
+        engine.apply(ev);
     }
+    engine.commit();
+    ev = serve::EventRequest{};
+    ev.op = serve::EventOp::CapChange;
+    ev.node = -1;
+    ev.value = 55.0;
+    engine.apply(ev);
+    engine.commit();
+    ev = serve::EventRequest{};
+    ev.op = serve::EventOp::Advance;
+    ev.value = 2.0;
+    engine.apply(ev);
+    engine.commit();
 
-    // Decision logs: same order (shard-index merge order), same
-    // content.
-    const auto &td = trace_bus.decisions();
-    const auto &ld = legacy_bus.decisions();
-    ASSERT_EQ(td.size(), ld.size());
-    ASSERT_EQ(td.size(), 8u);
-    for (std::size_t i = 0; i < td.size(); ++i) {
-        EXPECT_EQ(td[i].when, ld[i].when);
-        EXPECT_EQ(td[i].trigger, ld[i].trigger);
+    core::Telemetry service_bus;
+    service_bus.gauge(trace::EventId::ServeShed, 3);
+    service_bus.count(trace::EventId::ControlPolls, 5);
+    serve::StatsSnapshot snap;
+    engine.fillSnapshot(snap, &service_bus);
+
+    // Timer totals and maxima of wall-clock timers are not stable.
+    std::map<std::string, std::uint64_t> stable;
+    for (const auto &[name, value] : snap.counters) {
+        auto endsWith = [&name](std::string_view tail) {
+            return name.size() >= tail.size() &&
+                   name.compare(name.size() - tail.size(), tail.size(),
+                                tail) == 0;
+        };
+        if (!endsWith(".total_us") && !endsWith(".max_us"))
+            stable.emplace(name, value);
     }
-
-    // Cross-backend merge bridges through the name registry: folding
-    // the legacy bus into the trace bus doubles every aggregate.
-    Telemetry combined(Telemetry::Backend::Trace);
-    combined.merge(trace_bus);
-    combined.merge(legacy_bus);
-    EXPECT_EQ(combined.counter("control.polls"),
-              2 * trace_bus.counter("control.polls"));
-    EXPECT_EQ(combined.timer("manager.reallocate").count,
-              2 * trace_bus.timer("manager.reallocate").count);
+    EXPECT_EQ(stable.at("serve.shed"), 3u);
+    golden::Fnv h;
+    golden::mixCounters(h, stable);
+    EXPECT_EQ(h.hash, 0xa57aa10e69dd2b87ULL) << std::hex << h.hash;
 }
 
 } // namespace
