@@ -3,23 +3,24 @@
  * Allocator hot-path bench: sweeps app count (k), budgets and an
  * E1-E4 event mix over randomized utility frontiers and measures the
  * frontier-compressed DP, the shared esdPlan sweep table and the
- * cross-event AllocatorCache against the dense O(k*B^2) baseline
- * (AllocatorConfig::denseDp), emitting one JSON document on stdout:
+ * prefix-reuse AllocatorCache against the dense O(k*B^2) oracle of
+ * tests/allocator_oracle.hh, emitting one JSON document on stdout:
  *
- *   equivalence: trials and mismatch counts (allocate, esdPlan and a
- *                cached event replay vs. the dense reference)
+ *   equivalence: trials and mismatch counts (allocate and esdPlan vs.
+ *                the dense oracle)
  *   spatial:     per-k allocate wall time, dense vs. frontier
  *   esd:         per-k esdPlan wall time, dense sweep vs. shared table
- *   events:      cached replay vs. dense re-solve over an event mix,
- *                with the cache's full-hit/extend/combine/rebuild mix
+ *   events:      cached replay vs. dense re-solve over an event mix:
+ *                wall time, grant mismatches and the cache's
+ *                full-hit/extend/rebuild reuse depths
  *
  * `--check` turns the bench into a regression tripwire: every
- * equivalence trial must match the dense baseline bit-for-bit (the
- * frontier/ESD paths in full, the cached path in objective — an
- * equal-objective tie may legally pick a different argmax), the
- * frontier allocate must not be slower than dense at k >= 4, esdPlan
- * must be >= 3x faster at k = 8, and the event replay must exercise
- * every cache serve mode.  Exits non-zero on any failure.
+ * equivalence trial must match the dense oracle bit-for-bit (cached
+ * grants included: reuse is exact, so not even an equal-objective tie
+ * may pick other grants), the frontier allocate must not be slower than dense at
+ * k >= 4, esdPlan must be >= 3x faster at k = 8, and the event replay
+ * must hit every reuse depth (nothing folded, a partial prefix kept,
+ * nothing kept).  Exits non-zero on any failure.
  */
 
 #include <chrono>
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "allocator_oracle.hh"
 #include "core/power_allocator.hh"
 #include "core/telemetry.hh"
 #include "core/utility_curve.hh"
@@ -44,7 +46,6 @@ namespace
 using namespace psm;
 using core::Allocation;
 using core::AllocatorCache;
-using core::AllocatorConfig;
 using core::EsdPlan;
 using core::PowerAllocator;
 using core::UtilityCurve;
@@ -161,14 +162,6 @@ sameEsdPlan(const EsdPlan &a, const EsdPlan &b)
            sameAllocation(a.onAllocation, b.onAllocation);
 }
 
-AllocatorConfig
-denseConfig()
-{
-    AllocatorConfig cfg;
-    cfg.denseDp = true;
-    return cfg;
-}
-
 // --- equivalence ---------------------------------------------------
 
 struct Equivalence
@@ -177,16 +170,12 @@ struct Equivalence
     std::size_t allocateMismatches = 0;
     std::size_t esdTrials = 0;
     std::size_t esdMismatches = 0;
-    std::size_t eventTrials = 0;
-    std::size_t eventObjectiveMismatches = 0;
-    std::size_t eventGrantTies = 0; ///< equal objective, other argmax
 };
 
 Equivalence
 runEquivalence(bool quick)
 {
     Equivalence eq;
-    PowerAllocator dense(denseConfig());
     PowerAllocator frontier;
     const auto &plat = power::defaultPlatform();
     esd::BatteryConfig battery = esd::leadAcidUps();
@@ -201,14 +190,16 @@ runEquivalence(bool quick)
                 Watts budget =
                     rng.uniform(2.0, 16.0 * static_cast<double>(k));
                 ++eq.allocateTrials;
-                if (!sameAllocation(dense.allocate(curves, budget),
-                                    frontier.allocate(curves, budget)))
+                if (!sameAllocation(
+                        oracle::denseAllocate(frontier, curves, budget),
+                        frontier.allocate(curves, budget)))
                     ++eq.allocateMismatches;
             }
             ++eq.esdTrials;
             Watts cap = rng.uniform(65.0, 110.0);
-            EsdPlan a = dense.esdPlan(curves, plat.idlePower,
-                                      plat.cmPower, cap, battery);
+            EsdPlan a = oracle::denseEsdPlan(frontier, curves,
+                                             plat.idlePower,
+                                             plat.cmPower, cap, battery);
             EsdPlan b = frontier.esdPlan(curves, plat.idlePower,
                                          plat.cmPower, cap, battery);
             if (!sameEsdPlan(a, b))
@@ -216,35 +207,6 @@ runEquivalence(bool quick)
         }
     }
 
-    // Cached event replay: arrivals (append), departures (random
-    // slot) and budget changes against a per-event dense re-solve.
-    std::size_t events = quick ? 120 : 400;
-    CurvePool pool(24, 4242);
-    std::vector<const UtilityCurve *> active = pool.take(0, 3);
-    std::size_t next = 3;
-    AllocatorCache cache;
-    Rng rng(99);
-    Watts budget = 40.0;
-    for (std::size_t e = 0; e < events; ++e) {
-        int roll = rng.uniformInt(0, 9);
-        if (roll < 3 && active.size() < 10) {
-            active.push_back(pool.curves[next++ % 24].get());
-        } else if (roll < 5 && active.size() > 1) {
-            active.erase(active.begin() +
-                         rng.uniformInt(
-                             0, static_cast<int>(active.size()) - 1));
-        } else {
-            budget = rng.uniform(
-                5.0, 15.0 * static_cast<double>(active.size()));
-        }
-        ++eq.eventTrials;
-        Allocation d = dense.allocate(active, budget);
-        Allocation c = frontier.allocate(active, budget, &cache, 1);
-        if (d.objective != c.objective)
-            ++eq.eventObjectiveMismatches;
-        else if (!sameAllocation(d, c))
-            ++eq.eventGrantTies;
-    }
     return eq;
 }
 
@@ -262,66 +224,65 @@ struct TimedPoint
     }
 };
 
+/** Best of @p rounds: ms per call of @p dense and of @p fast, each
+ * called @p reps times per round. */
 TimedPoint
-timeSpatial(std::size_t k, bool quick)
+timePair(std::size_t k, int rounds, int reps,
+         const std::function<void()> &dense,
+         const std::function<void()> &fast)
 {
-    PowerAllocator dense(denseConfig());
-    PowerAllocator frontier;
-    CurvePool pool(k, 7000 + k);
-    auto curves = pool.take(0, k);
-    Watts budget = 12.5 * static_cast<double>(k);
-
     TimedPoint p;
     p.k = k;
-    int reps = quick ? 20 : 60;
-    for (int best = 0; best < 3; ++best) {
-        double d = wallSeconds([&] {
-            for (int r = 0; r < reps; ++r)
-                dense.allocate(curves, budget);
-        });
-        double f = wallSeconds([&] {
-            for (int r = 0; r < reps; ++r)
-                frontier.allocate(curves, budget);
-        });
-        double dm = d * 1000.0 / reps;
-        double fm = f * 1000.0 / reps;
-        if (p.denseMs == 0.0 || dm < p.denseMs)
-            p.denseMs = dm;
-        if (p.fastMs == 0.0 || fm < p.fastMs)
-            p.fastMs = fm;
+    auto perCall = [reps](const std::function<void()> &fn) {
+        return wallSeconds([&] {
+                   for (int r = 0; r < reps; ++r)
+                       fn();
+               }) *
+               1000.0 / reps;
+    };
+    for (int round = 0; round < rounds; ++round) {
+        double d = perCall(dense);
+        double f = perCall(fast);
+        if (p.denseMs == 0.0 || d < p.denseMs)
+            p.denseMs = d;
+        if (p.fastMs == 0.0 || f < p.fastMs)
+            p.fastMs = f;
     }
     return p;
 }
 
 TimedPoint
+timeSpatial(std::size_t k, bool quick)
+{
+    PowerAllocator frontier;
+    CurvePool pool(k, 7000 + k);
+    auto curves = pool.take(0, k);
+    Watts budget = 12.5 * static_cast<double>(k);
+    return timePair(
+        k, 3, quick ? 20 : 60,
+        [&] { oracle::denseAllocate(frontier, curves, budget); },
+        [&] { frontier.allocate(curves, budget); });
+}
+
+TimedPoint
 timeEsd(std::size_t k, bool quick)
 {
-    PowerAllocator dense(denseConfig());
     PowerAllocator frontier;
     CurvePool pool(k, 8000 + k);
     auto curves = pool.take(0, k);
     const auto &plat = power::defaultPlatform();
     esd::BatteryConfig battery = esd::leadAcidUps();
     Watts cap = 80.0;
-
-    TimedPoint p;
-    p.k = k;
-    int best_of = quick ? 2 : 3;
-    for (int best = 0; best < best_of; ++best) {
-        double d = wallSeconds([&] {
-            dense.esdPlan(curves, plat.idlePower, plat.cmPower, cap,
-                          battery);
+    return timePair(
+        k, quick ? 2 : 3, 1,
+        [&] {
+            oracle::denseEsdPlan(frontier, curves, plat.idlePower,
+                                 plat.cmPower, cap, battery);
+        },
+        [&] {
+            frontier.esdPlan(curves, plat.idlePower, plat.cmPower, cap,
+                             battery);
         });
-        double f = wallSeconds([&] {
-            frontier.esdPlan(curves, plat.idlePower, plat.cmPower,
-                             cap, battery);
-        });
-        if (p.denseMs == 0.0 || d * 1000.0 < p.denseMs)
-            p.denseMs = d * 1000.0;
-        if (p.fastMs == 0.0 || f * 1000.0 < p.fastMs)
-            p.fastMs = f * 1000.0;
-    }
-    return p;
 }
 
 struct EventReport
@@ -329,9 +290,9 @@ struct EventReport
     std::size_t events = 0;
     double denseMs = 0.0;  ///< total, dense re-solve per event
     double cachedMs = 0.0; ///< total, frontier + AllocatorCache
+    std::size_t mismatches = 0; ///< cached grants != dense oracle's
     std::uint64_t fullHits = 0;
     std::uint64_t extends = 0;
-    std::uint64_t combines = 0;
     std::uint64_t rebuilds = 0;
 };
 
@@ -342,7 +303,7 @@ runEvents(bool quick)
     rep.events = quick ? 150 : 500;
 
     // The same deterministic event tape is replayed against both
-    // allocators: arrivals append, departures open a random slot,
+    // solvers: arrivals append, departures open a random slot,
     // budget changes re-walk the cached tables.
     struct Event
     {
@@ -375,7 +336,7 @@ runEvents(bool quick)
     }
 
     CurvePool pool(32, 31337);
-    auto replay = [&](PowerAllocator &alloc, AllocatorCache *cache) {
+    auto replay = [&](auto &&solve) {
         std::vector<const UtilityCurve *> active = pool.take(0, 4);
         std::size_t next = 4;
         Watts budget = 50.0;
@@ -386,20 +347,32 @@ runEvents(bool quick)
                 active.erase(active.begin() + ev.slot);
             else
                 budget = ev.budget;
-            alloc.allocate(active, budget, cache, cache ? 1 : 0);
+            solve(active, budget);
         }
     };
 
     core::Telemetry tel;
-    PowerAllocator dense(denseConfig());
     PowerAllocator frontier;
     frontier.setTelemetry(&tel);
     AllocatorCache cache;
-    rep.denseMs = wallSeconds([&] { replay(dense, nullptr); }) * 1e3;
-    rep.cachedMs = wallSeconds([&] { replay(frontier, &cache); }) * 1e3;
+    std::vector<Allocation> dense;
+    std::vector<Allocation> cached;
+    rep.denseMs = wallSeconds([&] {
+        replay([&](const auto &active, Watts budget) {
+            dense.push_back(
+                oracle::denseAllocate(frontier, active, budget));
+        });
+    }) * 1e3;
+    rep.cachedMs = wallSeconds([&] {
+        replay([&](const auto &active, Watts budget) {
+            cached.push_back(
+                frontier.allocate(active, budget, &cache, 1));
+        });
+    }) * 1e3;
+    for (std::size_t e = 0; e < tape.size(); ++e)
+        rep.mismatches += !sameAllocation(dense[e], cached[e]);
     rep.fullHits = tel.counter(trace::EventId::AllocatorDpFullHits);
     rep.extends = tel.counter(trace::EventId::AllocatorDpExtends);
-    rep.combines = tel.counter(trace::EventId::AllocatorDpCombines);
     rep.rebuilds = tel.counter(trace::EventId::AllocatorDpRebuilds);
     return rep;
 }
@@ -439,11 +412,7 @@ main(int argc, char **argv)
               << eq.allocateTrials << ",\"allocate_mismatches\":"
               << eq.allocateMismatches
               << ",\"esd_trials\":" << eq.esdTrials
-              << ",\"esd_mismatches\":" << eq.esdMismatches
-              << ",\"event_trials\":" << eq.eventTrials
-              << ",\"event_objective_mismatches\":"
-              << eq.eventObjectiveMismatches
-              << ",\"event_grant_ties\":" << eq.eventGrantTies << "},";
+              << ",\"esd_mismatches\":" << eq.esdMismatches << "},";
     std::cout << "\"spatial\":[";
     for (std::size_t i = 0; i < spatial.size(); ++i) {
         const TimedPoint &p = spatial[i];
@@ -464,9 +433,9 @@ main(int argc, char **argv)
               << ",\"dense_ms\":" << events.denseMs
               << ",\"cached_ms\":" << events.cachedMs
               << ",\"speedup\":" << events.denseMs / events.cachedMs
+              << ",\"mismatches\":" << events.mismatches
               << ",\"full_hits\":" << events.fullHits
               << ",\"extends\":" << events.extends
-              << ",\"combines\":" << events.combines
               << ",\"rebuilds\":" << events.rebuilds << "}}"
               << std::endl;
 
@@ -475,13 +444,12 @@ main(int argc, char **argv)
 
     bool ok = true;
     if (eq.allocateMismatches || eq.esdMismatches ||
-        eq.eventObjectiveMismatches) {
+        events.mismatches) {
         std::cerr << "FAIL: optimized allocator diverged from the "
-                     "dense baseline ("
+                     "dense oracle ("
                   << eq.allocateMismatches << " allocate, "
                   << eq.esdMismatches << " esdPlan, "
-                  << eq.eventObjectiveMismatches
-                  << " cached-objective mismatches)\n";
+                  << events.mismatches << " cached-event mismatches)\n";
         ok = false;
     }
     for (const TimedPoint &p : spatial) {
@@ -501,11 +469,11 @@ main(int argc, char **argv)
         }
     }
     if (events.fullHits == 0 || events.extends == 0 ||
-        events.combines == 0 || events.rebuilds == 0) {
-        std::cerr << "FAIL: event replay missed a cache serve mode "
+        events.rebuilds == 0) {
+        std::cerr << "FAIL: event replay missed a cache reuse depth "
                      "(full " << events.fullHits << ", extend "
-                  << events.extends << ", combine " << events.combines
-                  << ", rebuild " << events.rebuilds << ")\n";
+                  << events.extends << ", rebuild " << events.rebuilds
+                  << ")\n";
         ok = false;
     }
     return ok ? 0 : 1;

@@ -138,24 +138,29 @@ timePublish(std::size_t iters)
 
 // --- merge path -----------------------------------------------------
 
-/** Touch every registered event on @p bus (per its kind). */
+/** Publish event @p Id on @p bus per its kind (a template, so the
+ * Timer branch hands observe() a compile-time id). */
+template <trace::EventId Id>
+void
+publishOne(Telemetry &bus, std::size_t salt)
+{
+    constexpr auto i = static_cast<std::size_t>(Id);
+    if constexpr (trace::kEventKinds[i] == trace::EventKind::Counter)
+        bus.count(Id, (salt + i) % 7 + 1);
+    else if constexpr (trace::kEventKinds[i] == trace::EventKind::Timer)
+        bus.observe(Id, static_cast<Tick>((salt + i) % 11 + 1));
+    else
+        bus.gauge(Id, salt + i);
+}
+
+/** Touch every registered event on @p bus, in id order. */
 void
 publishFullRegistry(Telemetry &bus, std::size_t salt)
 {
-    for (std::size_t i = 0; i < trace::kEventCount; ++i) {
-        auto id = static_cast<trace::EventId>(i);
-        switch (trace::eventKind(id)) {
-        case trace::EventKind::Counter:
-            bus.count(id, (salt + i) % 7 + 1);
-            break;
-        case trace::EventKind::Timer:
-            bus.observe(id, static_cast<Tick>((salt + i) % 11 + 1));
-            break;
-        case trace::EventKind::Gauge:
-            bus.gauge(id, salt + i);
-            break;
-        }
-    }
+#define PSM_TRACE_EVENT(id, kind, name) \
+    publishOne<trace::EventId::id>(bus, salt);
+#include "trace/events.def"
+#undef PSM_TRACE_EVENT
 }
 
 /** Wall time of one full TelemetryShards sweep merged into a fresh

@@ -88,6 +88,7 @@ PowerAllocator::reservePlan(
     // so nobody is starved, and let the DP divide only the headroom.
     ReservePlan rp;
     rp.reserve.assign(k, 0.0);
+    Watts headroom = dynamic_budget;
     if (cfg.reserveMinima) {
         Watts mins = 0.0;
         for (const auto *c : curves)
@@ -95,21 +96,12 @@ PowerAllocator::reservePlan(
         if (mins <= dynamic_budget) {
             for (std::size_t i = 0; i < k; ++i)
                 rp.reserve[i] = curves[i]->minPower();
-            rp.total = mins;
-            rp.applied = true;
+            headroom -= mins;
         }
     }
-    Watts headroom = dynamic_budget - rp.total;
     rp.buckets = static_cast<std::size_t>(
         std::floor(headroom / cfg.granularity));
     return rp;
-}
-
-Allocation
-PowerAllocator::allocate(const std::vector<const UtilityCurve *> &curves,
-                         Watts dynamic_budget) const
-{
-    return allocate(curves, dynamic_budget, nullptr, 0);
 }
 
 Allocation
@@ -124,79 +116,45 @@ PowerAllocator::allocate(const std::vector<const UtilityCurve *> &curves,
         tel->count(trace::EventId::AllocatorAllocate);
 
     ReservePlan rp = reservePlan(curves, dynamic_budget);
-    Allocation alloc = !cache || epoch == 0 || cfg.denseDp
-                           ? solveDirect(curves, dynamic_budget, rp)
-                           : solveCached(curves, dynamic_budget, rp,
-                                         *cache, epoch);
+    Allocation alloc =
+        !cache || epoch == 0
+            ? buildAllocation(curves, grants(foldAll(curves, rp), rp),
+                              dynamic_budget)
+            : solveCached(curves, dynamic_budget, rp, *cache, epoch);
     if (tel)
         tel->observe(trace::EventId::AllocatorSpatial, toTicks(wallSeconds(t0)));
     return alloc;
 }
 
-Allocation
-PowerAllocator::solveDirect(
-    const std::vector<const UtilityCurve *> &curves,
-    Watts dynamic_budget, const ReservePlan &rp) const
+PowerAllocator::Choices
+PowerAllocator::foldAll(const std::vector<const UtilityCurve *> &curves,
+                        const ReservePlan &rp) const
 {
-    std::size_t k = curves.size();
-    std::size_t buckets = rp.buckets;
-
-    std::vector<double> dp(buckets + 1, 0.0);
-    std::vector<std::vector<std::size_t>> choice(
-        k, std::vector<std::size_t>(buckets + 1, 0));
-    if (cfg.denseDp) {
-        // Dense baseline: per-bucket perf tables and an O(B²) scan
-        // per app.  Kept verbatim as the exact-equivalence reference
-        // for the frontier transition.
-        std::vector<std::vector<double>> perf(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            perf[i].resize(buckets + 1);
-            for (std::size_t b = 0; b <= buckets; ++b) {
-                perf[i][b] = curves[i]->perfAt(
-                    rp.reserve[i] +
-                    static_cast<double>(b) * cfg.granularity);
-            }
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-            std::vector<double> next(buckets + 1, 0.0);
-            for (std::size_t b = 0; b <= buckets; ++b) {
-                double best = -1.0;
-                std::size_t best_x = 0;
-                for (std::size_t x = 0; x <= b; ++x) {
-                    double v = dp[b - x] + perf[i][x];
-                    if (v > best) {
-                        best = v;
-                        best_x = x;
-                    }
-                }
-                next[b] = best;
-                choice[i][b] = best_x;
-            }
-            dp = std::move(next);
-        }
-    } else {
-        // Frontier transition: only the thresholds where a frontier
-        // point first becomes affordable can change the step function,
-        // so the inner max needs P candidates, not B buckets.
-        std::vector<double> next;
-        for (std::size_t i = 0; i < k; ++i) {
-            Cands cands = curves[i]->bucketCandidates(
-                rp.reserve[i], cfg.granularity, buckets);
-            frontierFold(cands, dp, next, choice[i]);
-            dp.swap(next);
-        }
+    std::vector<double> dp(rp.buckets + 1, 0.0);
+    std::vector<double> next;
+    Choices choice(curves.size());
+    for (std::size_t i = 0; i < curves.size(); ++i) {
+        frontierFold(curves[i]->bucketCandidates(
+                         rp.reserve[i], cfg.granularity, rp.buckets),
+                     dp, next, choice[i]);
+        dp.swap(next);
     }
+    return choice;
+}
 
-    // Walk the choices back from the full budget.
-    std::vector<Watts> granted(k, 0.0);
-    std::size_t b = buckets;
-    for (std::size_t ii = k; ii-- > 0;) {
+std::vector<Watts>
+PowerAllocator::grants(const Choices &choice,
+                       const ReservePlan &rp) const
+{
+    std::vector<Watts> granted(rp.reserve.size(), 0.0);
+    std::size_t b = rp.buckets;
+    for (std::size_t ii = granted.size(); ii-- > 0;) {
         std::size_t x = choice[ii][b];
         granted[ii] = rp.reserve[ii] +
                       static_cast<double>(x) * cfg.granularity;
         b -= x;
     }
-    return buildAllocation(curves, granted, dynamic_budget);
+    return granted;
 }
 
 Allocation
@@ -233,56 +191,6 @@ PowerAllocator::buildAllocation(
     return alloc;
 }
 
-void
-PowerAllocator::rebuildCache(
-    const std::vector<const UtilityCurve *> &curves,
-    const ReservePlan &rp, AllocatorCache &cache,
-    std::uint64_t epoch) const
-{
-    std::size_t k = curves.size();
-
-    // Pad the table width so a single departure still fits: the freed
-    // reserve minimum re-enters the headroom, so the recombined walk
-    // needs more buckets than this build does.
-    std::size_t pad = 0;
-    for (Watts r : rp.reserve) {
-        if (r > 0.0) {
-            pad = std::max(
-                pad, static_cast<std::size_t>(
-                         std::ceil(r / cfg.granularity)) + 1);
-        }
-    }
-
-    cache.valid = true;
-    cache.epoch = epoch;
-    cache.granularity = cfg.granularity;
-    cache.reserveApplied = rp.applied;
-    cache.buckets = rp.buckets + pad;
-    cache.apps.assign(k, {});
-    for (std::size_t i = 0; i < k; ++i) {
-        cache.apps[i].name = curves[i]->name();
-        cache.apps[i].reserve = rp.reserve[i];
-        cache.apps[i].cands = curves[i]->bucketCandidates(
-            rp.reserve[i], cfg.granularity, cache.buckets);
-    }
-
-    cache.pre.assign(k + 1, {});
-    cache.preChoice.assign(k, {});
-    cache.pre[0].assign(cache.buckets + 1, 0.0);
-    for (std::size_t i = 0; i < k; ++i) {
-        frontierFold(cache.apps[i].cands, cache.pre[i],
-                     cache.pre[i + 1], cache.preChoice[i]);
-    }
-
-    cache.suf.assign(k + 1, {});
-    cache.sufChoice.assign(k, {});
-    cache.suf[k].assign(cache.buckets + 1, 0.0);
-    for (std::size_t i = k; i-- > 0;) {
-        frontierFold(cache.apps[i].cands, cache.suf[i + 1],
-                     cache.suf[i], cache.sufChoice[i]);
-    }
-}
-
 Allocation
 PowerAllocator::solveCached(
     const std::vector<const UtilityCurve *> &curves,
@@ -291,134 +199,56 @@ PowerAllocator::solveCached(
 {
     std::size_t k = curves.size();
 
-    enum class Match
-    {
-        Rebuild,
-        Full,    ///< identical name sequence
-        Extend,  ///< cached sequence is a strict prefix (arrival)
-        Combine, ///< cached sequence minus one app (departure)
-    };
-    Match match = Match::Rebuild;
-    std::size_t hole = 0;
-
+    // Keep the longest common prefix of the cached and the new app
+    // sequence (a row depends only on its apps' frontiers, reserves
+    // and the grid, so a reserve-regime flip ends the prefix at the
+    // first app whose reserve moved); a stale epoch, another grid or
+    // a budget beyond the table width keeps nothing.
+    std::size_t keep = 0;
     if (cache.valid && cache.epoch == epoch &&
         cache.granularity == cfg.granularity &&
-        cache.reserveApplied == rp.applied &&
         rp.buckets <= cache.buckets) {
-        std::size_t kc = cache.apps.size();
-        auto same = [&](std::size_t ci, std::size_t i) {
-            return cache.apps[ci].name == curves[i]->name() &&
-                   cache.apps[ci].reserve == rp.reserve[i];
-        };
-        if (k >= kc) {
-            bool prefix = true;
-            for (std::size_t i = 0; i < kc && prefix; ++i)
-                prefix = same(i, i);
-            if (prefix)
-                match = k == kc ? Match::Full : Match::Extend;
-        } else if (k + 1 == kc) {
-            std::size_t ci = 0;
-            bool ok = true;
-            std::size_t h = kc - 1; // hole at the end if no mismatch
-            for (std::size_t i = 0; i < k; ++i) {
-                if (ci == i && !same(ci, i)) {
-                    h = ci;
-                    ++ci; // skip the departed app once
-                }
-                ok = ok && same(ci, i);
-                ++ci;
-            }
-            if (ok) {
-                match = Match::Combine;
-                hole = h;
+        std::size_t common = std::min(k, cache.apps.size());
+        while (keep < common &&
+               cache.apps[keep].name == curves[keep]->name() &&
+               cache.apps[keep].reserve == rp.reserve[keep])
+            ++keep;
+    }
+    if (keep == 0) {
+        // Restart.  Pad the table width so a departure still fits:
+        // the freed reserve minimum re-enters the headroom, so later
+        // walks need more buckets than this solve does.
+        std::size_t pad = 0;
+        for (Watts r : rp.reserve) {
+            if (r > 0.0) {
+                pad = std::max(
+                    pad, static_cast<std::size_t>(
+                             std::ceil(r / cfg.granularity)) + 1);
             }
         }
+        cache.valid = true;
+        cache.epoch = epoch;
+        cache.granularity = cfg.granularity;
+        cache.buckets = rp.buckets + pad;
+        cache.pre.assign(1, std::vector<double>(cache.buckets + 1, 0.0));
+    }
+    if (tel) {
+        tel->count(keep == k   ? trace::EventId::AllocatorDpFullHits
+                   : keep == 0 ? trace::EventId::AllocatorDpRebuilds
+                               : trace::EventId::AllocatorDpExtends);
     }
 
-    if (match == Match::Rebuild || match == Match::Extend) {
-        if (match == Match::Extend) {
-            // Arrival(s) appended at the end: the prefix tables fold
-            // left-to-right, so only the new apps need a pass — but
-            // every suffix now ends differently, so those rebuild.
-            std::size_t old_k = cache.apps.size();
-            cache.apps.resize(k);
-            cache.pre.resize(k + 1);
-            cache.preChoice.resize(k);
-            for (std::size_t i = old_k; i < k; ++i) {
-                cache.apps[i].name = curves[i]->name();
-                cache.apps[i].reserve = rp.reserve[i];
-                cache.apps[i].cands = curves[i]->bucketCandidates(
-                    rp.reserve[i], cfg.granularity, cache.buckets);
-                frontierFold(cache.apps[i].cands, cache.pre[i],
-                             cache.pre[i + 1], cache.preChoice[i]);
-            }
-            cache.suf.assign(k + 1, {});
-            cache.sufChoice.assign(k, {});
-            cache.suf[k].assign(cache.buckets + 1, 0.0);
-            for (std::size_t i = k; i-- > 0;) {
-                frontierFold(cache.apps[i].cands, cache.suf[i + 1],
-                             cache.suf[i], cache.sufChoice[i]);
-            }
-            if (tel)
-                tel->count(trace::EventId::AllocatorDpExtends);
-        } else {
-            rebuildCache(curves, rp, cache, epoch);
-            if (tel)
-                tel->count(trace::EventId::AllocatorDpRebuilds);
-        }
-        match = Match::Full;
-        hole = k; // not a combine
-    } else if (tel) {
-        tel->count(match == Match::Full
-                       ? trace::EventId::AllocatorDpFullHits
-                       : trace::EventId::AllocatorDpCombines);
+    cache.apps.resize(k);
+    cache.pre.resize(k + 1);
+    cache.preChoice.resize(k);
+    for (std::size_t i = keep; i < k; ++i) {
+        cache.apps[i] = {curves[i]->name(), rp.reserve[i]};
+        frontierFold(curves[i]->bucketCandidates(
+                         rp.reserve[i], cfg.granularity, cache.buckets),
+                     cache.pre[i], cache.pre[i + 1], cache.preChoice[i]);
     }
-
-    std::vector<Watts> granted(k, 0.0);
-    if (match == Match::Full) {
-        std::size_t b = rp.buckets;
-        for (std::size_t ii = k; ii-- > 0;) {
-            std::size_t x = cache.preChoice[ii][b];
-            granted[ii] = rp.reserve[ii] +
-                          static_cast<double>(x) * cfg.granularity;
-            b -= x;
-        }
-    } else {
-        // Departure of cached app `hole`: the optimum over the
-        // remaining apps is the best split of the budget between the
-        // prefix [0, hole) and the suffix [hole+1, k+1) — one O(B)
-        // max-plus combine of two cached tables, no DP pass at all.
-        // The cache keeps describing the pre-departure sequence, so
-        // follow-up allocations (and further departures elsewhere)
-        // keep recombining the same tables.
-        std::size_t kc = cache.apps.size();
-        std::size_t b = rp.buckets;
-        double best = -1.0;
-        std::size_t best_b1 = 0;
-        for (std::size_t b1 = 0; b1 <= b; ++b1) {
-            double v = cache.pre[hole][b1] +
-                       cache.suf[hole + 1][b - b1];
-            if (v > best) {
-                best = v;
-                best_b1 = b1;
-            }
-        }
-        std::size_t pb = best_b1;
-        for (std::size_t ii = hole; ii-- > 0;) {
-            std::size_t x = cache.preChoice[ii][pb];
-            granted[ii] = rp.reserve[ii] +
-                          static_cast<double>(x) * cfg.granularity;
-            pb -= x;
-        }
-        std::size_t sb = b - best_b1;
-        for (std::size_t ci = hole + 1; ci < kc; ++ci) {
-            std::size_t x = cache.sufChoice[ci][sb];
-            granted[ci - 1] = rp.reserve[ci - 1] +
-                              static_cast<double>(x) * cfg.granularity;
-            sb -= x;
-        }
-    }
-    return buildAllocation(curves, granted, dynamic_budget);
+    return buildAllocation(curves, grants(cache.preChoice, rp),
+                           dynamic_budget);
 }
 
 void
@@ -653,57 +483,29 @@ PowerAllocator::esdPlan(const std::vector<const UtilityCurve *> &curves,
         }
     };
 
-    if (cfg.denseDp) {
-        // Reference path: a full allocation per candidate budget.
-        for (std::size_t bucket = 0; bucket < sweep; ++bucket) {
-            Watts budget =
-                lo + static_cast<double>(bucket) * cfg.esdSearchStep;
-            consider(allocate(curves, budget));
-        }
-    } else {
-        // The DP table for the largest candidate budget subsumes every
-        // smaller one: dp rows and choices at bucket index b never
-        // depend on the table width, so one forward pass plus a cheap
-        // walk-back per candidate replaces `sweep` independent
-        // allocate() calls.  This needs the reserve regime to be
-        // uniform across the sweep, which it is: every candidate
-        // budget is lo + bucket*step >= lo, and lo accumulates the
-        // same minPower() terms in the same order reservePlan() sums,
-        // so `mins <= budget` answers identically for all candidates.
-        std::size_t k = curves.size();
-        Watts budget_max =
-            lo + static_cast<double>(sweep - 1) * cfg.esdSearchStep;
-        ReservePlan rp_max = reservePlan(curves, budget_max);
-
-        std::vector<double> dp(rp_max.buckets + 1, 0.0);
-        std::vector<double> scratch;
-        std::vector<std::vector<std::size_t>> choice(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            Cands cands = curves[i]->bucketCandidates(
-                rp_max.reserve[i], cfg.granularity, rp_max.buckets);
-            frontierFold(cands, dp, scratch, choice[i]);
-            dp.swap(scratch);
-        }
-
-        for (std::size_t bucket = 0; bucket < sweep; ++bucket) {
-            Watts budget =
-                lo + static_cast<double>(bucket) * cfg.esdSearchStep;
-            // Re-derive the candidate's bucket count through the very
-            // expressions a standalone allocate() would use, so the
-            // walk-back starts from a bit-identical index.
-            ReservePlan rp = reservePlan(curves, budget);
-            psm_assert(rp.applied == rp_max.applied);
-            psm_assert(rp.buckets <= rp_max.buckets);
-            std::vector<Watts> granted(k, 0.0);
-            std::size_t b = rp.buckets;
-            for (std::size_t ii = k; ii-- > 0;) {
-                std::size_t x = choice[ii][b];
-                granted[ii] = rp.reserve[ii] +
-                              static_cast<double>(x) * cfg.granularity;
-                b -= x;
-            }
-            consider(buildAllocation(curves, granted, budget));
-        }
+    // The DP table for the largest candidate budget subsumes every
+    // smaller one: dp rows and choices at bucket index b never depend
+    // on the table width, so one forward pass plus a cheap walk-back
+    // per candidate replaces `sweep` independent allocate() calls.
+    // This needs the reserve regime to be uniform across the sweep,
+    // which it is: every candidate budget is lo + bucket*step >= lo,
+    // and lo accumulates the same minPower() terms in the same order
+    // reservePlan() sums, so `mins <= budget` answers identically for
+    // all candidates.
+    Watts budget_max =
+        lo + static_cast<double>(sweep - 1) * cfg.esdSearchStep;
+    ReservePlan rp_max = reservePlan(curves, budget_max);
+    Choices choice = foldAll(curves, rp_max);
+    for (std::size_t bucket = 0; bucket < sweep; ++bucket) {
+        Watts budget =
+            lo + static_cast<double>(bucket) * cfg.esdSearchStep;
+        // Re-derive the candidate's bucket count through the very
+        // expressions a standalone allocate() would use, so the
+        // walk-back starts from a bit-identical index.
+        ReservePlan rp = reservePlan(curves, budget);
+        psm_assert(rp.reserve == rp_max.reserve);
+        psm_assert(rp.buckets <= rp_max.buckets);
+        consider(buildAllocation(curves, grants(choice, rp), budget));
     }
     if (tel)
         tel->observe(trace::EventId::AllocatorEsd, toTicks(wallSeconds(t0)));

@@ -11,9 +11,10 @@
  * with the best marginal utility.  The DP transition only inspects
  * the bucket thresholds where a frontier point first becomes
  * affordable (P points instead of B buckets per cell — bit-identical
- * to the dense scan, see AllocatorConfig::denseDp), and an optional
- * AllocatorCache reuses prefix/suffix tables across E1–E4 events so
- * single arrivals and departures avoid a full re-solve.
+ * to the dense O(k·B²) scan, which lives on as the test oracle in
+ * tests/allocator_oracle.hh), and an optional AllocatorCache keeps
+ * the prefix tables of the last solve so the next E1–E4 event only
+ * folds the apps after the longest common prefix.
  *
  * Besides the spatial allocation it also produces the two temporal
  * plans the Coordinator needs: alternate duty-cycle slots (R3b) and
@@ -113,32 +114,22 @@ struct AllocatorConfig
      * curve minimum is not a real hardware minimum.
      */
     bool reserveMinima = true;
-    /**
-     * Exact-equivalence fallback: solve with the dense O(k·B²)
-     * per-bucket DP and re-run the full allocation for every esdPlan
-     * sweep candidate, instead of the frontier-compressed O(k·B·P)
-     * transition with one shared sweep table.  Both paths produce
-     * bit-identical allocations (bench_allocator --check trips
-     * otherwise); this flag exists as the A/B baseline and as an
-     * escape hatch.
-     */
-    bool denseDp = false;
 };
 
 /**
  * Cross-event DP state for incremental re-allocation.
  *
  * The spatial knapsack is re-solved on every E1–E4 event, yet between
- * events the curve set usually changes by at most one application:
- * the cache keeps the per-app frontier candidates plus prefix tables
- * pre[i] (apps [0,i) folded left-to-right) and suffix tables suf[i]
- * (apps [i,k) folded right-to-left), so
- *
- *  - an unchanged sequence is served by walking the cached choices,
- *  - an arrival appended at the end extends the prefix tables with
- *    one pass per new app,
- *  - a departure of app j recombines pre[j] with suf[j+1] in O(B)
- *    instead of recomputing all k apps.
+ * events the app sequence usually keeps a long common prefix: arrivals
+ * append (admission ids ascend) and a departure only disturbs the apps
+ * after it.  The cache keeps the prefix tables pre[i] (apps [0,i)
+ * folded left-to-right) and, per app, the (name, reserve) pair its
+ * row was folded with.  A solve truncates the tables at the longest
+ * common prefix of the cached and the new sequence, folds the
+ * remaining apps and walks the choices back.  Row pre[i] at bucket b
+ * depends only on apps [0,i) and not on the table width, so a kept row
+ * is exactly what a fresh fold computes and cached grants equal an
+ * uncached solve's bit for bit, ties included.
  *
  * Tables are built a little wider than the current bucket count so a
  * departure's freed reserve minimum (which re-enters the headroom)
@@ -148,34 +139,23 @@ struct AllocatorConfig
  */
 class AllocatorCache
 {
-  public:
-    /** Drop all cached state (next use rebuilds). */
-    void invalidate() { valid = false; }
-
-  private:
     friend class PowerAllocator;
 
-    /** One application's frontier on the bucket grid. */
+    /** The identity one prefix row was folded with. */
     struct AppEntry
     {
         std::string name;
         Watts reserve = 0.0;
-        /** (bucket threshold, perfNorm), thresholds ascending. */
-        std::vector<std::pair<std::size_t, double>> cands;
     };
 
     bool valid = false;
     std::uint64_t epoch = 0;
     Watts granularity = 0.0;
-    bool reserveApplied = false;
     std::size_t buckets = 0; ///< table width (includes the pad)
     std::vector<AppEntry> apps;
     /** pre[i][b]: best objective of apps [0,i) within b buckets. */
     std::vector<std::vector<double>> pre;
     std::vector<std::vector<std::size_t>> preChoice;
-    /** suf[i][b]: best objective of apps [i,k) within b buckets. */
-    std::vector<std::vector<double>> suf;
-    std::vector<std::vector<std::size_t>> sufChoice;
 };
 
 /**
@@ -196,22 +176,17 @@ class PowerAllocator
     /**
      * Utility-optimal split of @p dynamic_budget across @p curves
      * (DP + greedy slack pass).  Applications whose cheapest point
-     * does not fit may end up unscheduled (budget 0).
-     */
-    Allocation allocate(const std::vector<const UtilityCurve *> &curves,
-                        Watts dynamic_budget) const;
-
-    /**
-     * Same optimization, reusing @p cache across events: identical
-     * curve sequences walk cached tables, an appended arrival extends
-     * them, a single departure recombines the prefix/suffix halves.
+     * does not fit may end up unscheduled (budget 0).  With a
+     * @p cache, only the apps after the longest common prefix with
+     * the cached sequence are folded; the grants are the same.
      * @p epoch is the owner's surface-cache epoch; the cache is
      * invalid the moment it changes.  epoch 0 means "no epoch
      * discipline available" and bypasses the cache entirely.
      */
     Allocation allocate(const std::vector<const UtilityCurve *> &curves,
-                        Watts dynamic_budget, AllocatorCache *cache,
-                        std::uint64_t epoch) const;
+                        Watts dynamic_budget,
+                        AllocatorCache *cache = nullptr,
+                        std::uint64_t epoch = 0) const;
 
     /**
      * The Util-Unaware baseline's split: every application gets an
@@ -252,45 +227,50 @@ class PowerAllocator
                     const esd::BatteryConfig &esd,
                     Watts off_cm_power = 0.0) const;
 
-  private:
-    /** Reserve-minima decision plus the resulting bucket count. */
+    /** Per-app reserved minima plus the headroom's bucket count. */
     struct ReservePlan
     {
         std::vector<Watts> reserve;
-        Watts total = 0.0;
-        bool applied = false;
         std::size_t buckets = 0;
     };
 
-    AllocatorConfig cfg;
-    Telemetry *tel = nullptr;
-
+    /**
+     * The two halves around the DP, public so a reference solver (the
+     * dense oracle of the tests) brackets its own DP exactly as
+     * allocate() does: the reserve-minima split of @p dynamic_budget,
+     * and the allocation built from per-app granted watts (bestWithin
+     * + slack pass + objective/used rollup, with the point<=budget
+     * invariant asserted).
+     */
     ReservePlan
     reservePlan(const std::vector<const UtilityCurve *> &curves,
                 Watts dynamic_budget) const;
 
-    /** One-shot solve (no cross-event state); dense or frontier DP
-     * per cfg.denseDp. */
-    Allocation
-    solveDirect(const std::vector<const UtilityCurve *> &curves,
-                Watts dynamic_budget, const ReservePlan &rp) const;
-
-    /** Cache-backed solve: full hit / extend / combine / rebuild. */
-    Allocation
-    solveCached(const std::vector<const UtilityCurve *> &curves,
-                Watts dynamic_budget, const ReservePlan &rp,
-                AllocatorCache &cache, std::uint64_t epoch) const;
-
-    void rebuildCache(const std::vector<const UtilityCurve *> &curves,
-                      const ReservePlan &rp, AllocatorCache &cache,
-                      std::uint64_t epoch) const;
-
-    /** bestWithin + slack pass + objective/used rollup over per-app
-     * granted watts, with the point<=budget invariant asserted. */
     Allocation
     buildAllocation(const std::vector<const UtilityCurve *> &curves,
                     const std::vector<Watts> &granted,
                     Watts dynamic_budget) const;
+
+  private:
+    /** Per-app DP choices, choice[i][b] = buckets given to app i. */
+    using Choices = std::vector<std::vector<std::size_t>>;
+
+    AllocatorConfig cfg;
+    Telemetry *tel = nullptr;
+
+    /** Fold every app left-to-right over rp.buckets buckets. */
+    Choices foldAll(const std::vector<const UtilityCurve *> &curves,
+                    const ReservePlan &rp) const;
+
+    /** Walk @p choice back from rp.buckets into granted watts. */
+    std::vector<Watts> grants(const Choices &choice,
+                              const ReservePlan &rp) const;
+
+    /** Longest-common-prefix solve against @p cache. */
+    Allocation
+    solveCached(const std::vector<const UtilityCurve *> &curves,
+                Watts dynamic_budget, const ReservePlan &rp,
+                AllocatorCache &cache, std::uint64_t epoch) const;
 
     /** Greedy upgrade pass distributing DP slack.  Bounded: a
      * non-monotonic marginal-utility corner case cannot spin forever

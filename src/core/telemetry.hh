@@ -78,9 +78,10 @@ class Telemetry
         trace_sink.count(id, delta);
     }
 
-    /** Observe one duration under a timer. */
+    /** Observe one duration under a timer (a non-Timer id does not
+     * compile). */
     void
-    observe(trace::EventId id, Tick elapsed)
+    observe(trace::TimerId id, Tick elapsed)
     {
         trace_sink.observe(id, elapsed);
     }

@@ -61,7 +61,9 @@ encodeCaptureConfig(const EngineConfig &cfg)
     trace::putF64(buf, m.trimGain);
     trace::putU64(buf, m.refreshPeriod);
     trace::putU8(buf, static_cast<std::uint8_t>(m.sampling));
-    trace::putU8(buf, m.allocator.denseDp ? 1 : 0);
+    // Retired dense-DP byte: kept in place so existing captures still
+    // decode under this kConfigVersion; always 0.
+    trace::putU8(buf, 0);
     trace::putU64(buf, m.seed);
     trace::putU64(buf, fingerprint(buf));
     return buf;
@@ -87,7 +89,7 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
 
     trace::ByteCursor c(body);
     std::uint8_t version = 0, esd = 0, seed_corpus = 0, policy = 0,
-                 oracle = 0, sampling = 0, dense_dp = 0;
+                 oracle = 0, sampling = 0, retired = 0;
     std::uint32_t nodes = 0;
     EngineConfig cfg;
     core::ManagerConfig &m = cfg.manager;
@@ -101,12 +103,15 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
         !c.getU64(m.calibrationPerSample) ||
         !c.getU64(m.controlPeriod) || !c.getF64(m.budgetGuard) ||
         !c.getF64(m.trimGain) || !c.getU64(m.refreshPeriod) ||
-        !c.getU8(sampling) || !c.getU8(dense_dp) || !c.getU64(m.seed))
+        !c.getU8(sampling) || !c.getU8(retired) || !c.getU64(m.seed))
         return fail("Config fields truncated");
     if (!c.atEnd())
         return fail("trailing bytes after Config fields");
     if (nodes == 0)
         return fail("Config has zero nodes");
+    if (retired != 0)
+        return fail("Config sets the retired dense-DP flag; this build "
+                    "has one allocator path");
     // The policy byte is the PolicyKind wire id; resolve it through
     // the registry instead of a blind enum cast so captures from
     // builds with policies this binary does not register are refused
@@ -126,7 +131,6 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
     m.policy = info->kind;
     m.oracleUtilities = oracle != 0;
     m.sampling = static_cast<cf::SamplingStrategy>(sampling);
-    m.allocator.denseDp = dense_dp != 0;
     out = cfg;
     return true;
 }

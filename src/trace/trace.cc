@@ -12,12 +12,6 @@ constexpr std::string_view kEventNames[] = {
 #undef PSM_TRACE_EVENT
 };
 
-constexpr EventKind kEventKinds[] = {
-#define PSM_TRACE_EVENT(id, kind, name) EventKind::kind,
-#include "events.def"
-#undef PSM_TRACE_EVENT
-};
-
 static_assert(sizeof(kEventNames) / sizeof(kEventNames[0]) ==
                   kEventCount,
               "registry tables out of sync");
@@ -28,12 +22,6 @@ std::string_view
 eventName(EventId id)
 {
     return kEventNames[static_cast<std::size_t>(id)];
-}
-
-EventKind
-eventKind(EventId id)
-{
-    return kEventKinds[static_cast<std::size_t>(id)];
 }
 
 void
@@ -48,8 +36,8 @@ TraceSink::mergeFrom(const TraceSink &other)
             counter_agg[i] += other.counter_agg[i];
             break;
           case EventKind::Timer: {
-            TimerAgg &t = timer_agg[i];
-            const TimerAgg &o = other.timer_agg[i];
+            TimerAgg &t = timer_agg[kTimerSlots[i]];
+            const TimerAgg &o = other.timer_agg[kTimerSlots[i]];
             t.count += o.count;
             t.total += o.total;
             t.max = std::max(t.max, o.max);

@@ -12,7 +12,8 @@
  * The event registry lives in events.def (X-macro): one dense id per
  * name the control plane publishes.  Names exist only for output
  * (dumps, snapshots); every publisher and reader uses the typed id,
- * so a mistyped event fails to compile.
+ * so a mistyped event fails to compile, and so does observing a
+ * duration under an event that is not a Timer.
  *
  * The sink is intentionally single-writer (one shard per thread or
  * per work index, exactly like the TelemetryShards discipline); the
@@ -27,6 +28,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string_view>
 
 namespace psm::trace
@@ -48,20 +50,57 @@ enum class EventId : std::uint16_t
 #undef PSM_TRACE_EVENT
 };
 
-/** Number of registered events (== one past the last EventId). */
-inline constexpr std::size_t kEventCount = []() {
-    std::size_t n = 0;
-#define PSM_TRACE_EVENT(id, kind, name) ++n;
+/** The aggregate kind of every event, in id order. */
+inline constexpr EventKind kEventKinds[] = {
+#define PSM_TRACE_EVENT(id, kind, name) EventKind::kind,
 #include "events.def"
 #undef PSM_TRACE_EVENT
-    return n;
+};
+
+/** Number of registered events (== one past the last EventId). */
+inline constexpr std::size_t kEventCount = std::size(kEventKinds);
+
+/** Number of Timer events: the TimerAgg slots of a TraceSink. */
+inline constexpr std::size_t kTimerCount = static_cast<std::size_t>(
+    std::count(std::begin(kEventKinds), std::end(kEventKinds),
+               EventKind::Timer));
+
+/** Dense TimerAgg slot of each event, in id order: timers number 0, 1,
+ * ... in registry order, every other kind maps to kTimerCount. */
+inline constexpr auto kTimerSlots = [] {
+    std::array<std::size_t, kEventCount> slots{};
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < kEventCount; ++i)
+        slots[i] = kEventKinds[i] == EventKind::Timer ? next++ : kTimerCount;
+    return slots;
 }();
+
+/**
+ * A Timer event id, resolved to its slot at compile time: observe()
+ * takes one, so observing an event of another kind does not compile.
+ */
+struct TimerId
+{
+    consteval TimerId(EventId id)
+        : event(id), slot(kTimerSlots[static_cast<std::size_t>(id)])
+    {
+        if (slot == kTimerCount)
+            throw "observe() needs a Timer event";
+    }
+
+    EventId event;
+    std::size_t slot;
+};
 
 /** The registry name of an event. */
 std::string_view eventName(EventId id);
 
 /** The aggregate kind of an event. */
-EventKind eventKind(EventId id);
+inline EventKind
+eventKind(EventId id)
+{
+    return kEventKinds[static_cast<std::size_t>(id)];
+}
 
 /** Aggregate of one Timer event. */
 struct TimerAgg
@@ -72,8 +111,9 @@ struct TimerAgg
 };
 
 /**
- * A single-writer aggregate store: dense per-event counter, timer
- * and touched arrays, written in place by every publish.
+ * A single-writer aggregate store: dense per-event counter and
+ * touched arrays plus one TimerAgg per Timer event, written in place
+ * by every publish.
  */
 class TraceSink
 {
@@ -87,9 +127,10 @@ class TraceSink
 
     /** Observe one duration under a Timer event. */
     void
-    observe(EventId id, std::uint64_t ticks)
+    observe(TimerId id, std::uint64_t ticks)
     {
-        TimerAgg &t = timer_agg[touch(id)];
+        touch(id.event);
+        TimerAgg &t = timer_agg[id.slot];
         ++t.count;
         t.total += ticks;
         t.max = std::max(t.max, ticks);
@@ -109,11 +150,13 @@ class TraceSink
         return counter_agg[static_cast<std::size_t>(id)];
     }
 
-    /** Timer aggregate for @p id (zeroes when never observed). */
+    /** Timer aggregate for @p id (zeroes when never observed or
+     * not a Timer). */
     TimerAgg
     timerValue(EventId id) const
     {
-        return timer_agg[static_cast<std::size_t>(id)];
+        std::size_t slot = kTimerSlots[static_cast<std::size_t>(id)];
+        return slot == kTimerCount ? TimerAgg{} : timer_agg[slot];
     }
 
     /**
@@ -138,7 +181,7 @@ class TraceSink
 
   private:
     std::array<std::uint64_t, kEventCount> counter_agg{};
-    std::array<TimerAgg, kEventCount> timer_agg{};
+    std::array<TimerAgg, kTimerCount> timer_agg{};
     std::array<std::uint8_t, kEventCount> touched_flags{};
 
     std::size_t

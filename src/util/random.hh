@@ -51,11 +51,19 @@ class Rng
         return std::uniform_int_distribution<int>(lo, hi)(engine);
     }
 
-    /** Normal draw with the given mean and standard deviation. */
+    /**
+     * Normal draw with the given mean and standard deviation (0 gives
+     * @p mean).  Draws a standard normal and scales it, libstdc++'s own
+     * order of operations, so the stream is the one
+     * normal_distribution(mean, stddev) yields for stddev > 0 without
+     * its stddev > 0 precondition.
+     */
     double
     gaussian(double mean, double stddev)
     {
-        return std::normal_distribution<double>(mean, stddev)(engine);
+        return std::normal_distribution<double>(0.0, 1.0)(engine) *
+                   stddev +
+               mean;
     }
 
     /** Exponential draw with the given rate (mean = 1/rate). */

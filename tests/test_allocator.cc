@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "allocator_oracle.hh"
 #include "cf/profiler.hh"
 #include "core/power_allocator.hh"
 #include "esd/battery.hh"
@@ -305,8 +306,8 @@ libraryCurves(const std::vector<power::KnobSetting> &settings)
 }
 
 /** Bit-for-bit equality of two allocations (the equivalence claim:
- * frontier/incremental must reproduce the dense DP exactly, not
- * approximately). */
+ * frontier and cached solves must reproduce the dense oracle exactly,
+ * not approximately). */
 void
 expectSameAllocation(const Allocation &want, const Allocation &got)
 {
@@ -327,21 +328,13 @@ expectSameAllocation(const Allocation &want, const Allocation &got)
     }
 }
 
-AllocatorConfig
-denseConfig()
-{
-    AllocatorConfig cfg;
-    cfg.denseDp = true;
-    return cfg;
-}
-
 TEST_F(AllocatorTest, FrontierMatchesDenseDpExactly)
 {
-    PowerAllocator dense(denseConfig());
     for (double budget = 4.0; budget <= 50.0; budget += 0.7) {
         SCOPED_TRACE(budget);
-        expectSameAllocation(dense.allocate(ptrs, budget),
-                             allocator.allocate(ptrs, budget));
+        expectSameAllocation(
+            oracle::denseAllocate(allocator, ptrs, budget),
+            allocator.allocate(ptrs, budget));
     }
 }
 
@@ -349,12 +342,11 @@ TEST_F(AllocatorTest, EsdSweepSharingMatchesDense)
 {
     const auto &plat = defaultPlatform();
     esd::BatteryConfig esd = esd::leadAcidUps();
-    PowerAllocator dense(denseConfig());
     for (double cap : {62.0, 68.0, 70.0, 75.0, 80.0, 90.0, 110.0,
                        150.0}) {
         SCOPED_TRACE(cap);
-        EsdPlan want = dense.esdPlan(ptrs, plat.idlePower,
-                                     plat.cmPower, cap, esd);
+        EsdPlan want = oracle::denseEsdPlan(
+            allocator, ptrs, plat.idlePower, plat.cmPower, cap, esd);
         EsdPlan got = allocator.esdPlan(ptrs, plat.idlePower,
                                         plat.cmPower, cap, esd);
         ASSERT_EQ(want.viable, got.viable);
@@ -369,17 +361,17 @@ TEST_F(AllocatorTest, EsdSweepSharingMatchesDense)
 
 TEST(AllocatorEquivalence, CacheMatchesDenseAcrossRandomEvents)
 {
-    // The satellite property test: replay a seeded arrival/departure/
-    // budget-change/recalibration tape at k in [1, 8] and demand the
-    // cache-served allocation equal the dense baseline bit-for-bit at
-    // every step.
+    // Replay a seeded arrival/departure/budget-change/recalibration
+    // tape at k in [1, 8] and demand the cache-served allocation equal
+    // the dense oracle bit-for-bit at every step.  Departures leave
+    // from the front (nothing reusable), the middle (a partial prefix)
+    // and the back (the whole prefix), so every reuse depth is hit.
     const auto &plat = defaultPlatform();
     auto settings = plat.knobSpace();
     auto pool = libraryCurves(settings);
     ASSERT_GE(pool.size(), 8u);
 
     Rng rng(20260806);
-    PowerAllocator dense(denseConfig());
     PowerAllocator fast;
     Telemetry tel;
     fast.setTelemetry(&tel);
@@ -391,10 +383,17 @@ TEST(AllocatorEquivalence, CacheMatchesDenseAcrossRandomEvents)
     for (std::size_t i = 4; i < pool.size(); ++i)
         parked.push_back(i);
     double budget = 40.0;
+    int front_departures = 0;
+    int middle_departures = 0;
 
-    for (int ev = 0; ev < 160; ++ev) {
-        switch (rng.uniformInt(0, 3)) {
-          case 0: // arrival appends (activeIds() is id-ordered)
+    auto depart = [&](std::size_t slot) {
+        parked.push_back(active[slot]);
+        active.erase(active.begin() + static_cast<long>(slot));
+    };
+    for (int ev = 0; ev < 240; ++ev) {
+        int kind = rng.uniformInt(0, 7);
+        if (kind <= 2) {
+            // Arrival appends (activeIds() is id-ordered).
             if (active.size() < 8 && !parked.empty()) {
                 std::size_t slot = static_cast<std::size_t>(
                     rng.uniformInt(0,
@@ -404,43 +403,86 @@ TEST(AllocatorEquivalence, CacheMatchesDenseAcrossRandomEvents)
                 parked.erase(parked.begin() +
                              static_cast<long>(slot));
             }
-            break;
-          case 1: // departure of a random slot
+        } else if (kind <= 5) {
+            // Departure from the front, the middle or a random slot.
             if (active.size() > 1) {
-                std::size_t slot = static_cast<std::size_t>(
-                    rng.uniformInt(0,
-                                   static_cast<int>(active.size()) -
-                                       1));
-                parked.push_back(active[slot]);
-                active.erase(active.begin() +
-                             static_cast<long>(slot));
+                std::size_t slot =
+                    kind == 3   ? 0
+                    : kind == 4 ? active.size() / 2
+                                : static_cast<std::size_t>(
+                                      rng.uniformInt(
+                                          0, static_cast<int>(
+                                                 active.size()) -
+                                                 1));
+                front_departures += slot == 0;
+                middle_departures +=
+                    slot > 0 && slot + 1 < active.size();
+                depart(slot);
             }
-            break;
-          case 2: // cap change
+        } else if (kind == 6) {
             budget = rng.uniform(
                 2.0, 16.0 * static_cast<double>(active.size()));
-            break;
-          case 3: // recalibration bumps the surface epoch
-            ++epoch;
-            break;
+        } else {
+            ++epoch; // recalibration bumps the surface epoch
         }
         std::vector<const UtilityCurve *> curves;
         for (std::size_t ix : active)
             curves.push_back(pool[ix].get());
 
         SCOPED_TRACE(ev);
-        Allocation want = dense.allocate(curves, budget);
+        Allocation want = oracle::denseAllocate(fast, curves, budget);
         expectSameAllocation(want, fast.allocate(curves, budget));
         expectSameAllocation(
             want, fast.allocate(curves, budget, &cache, epoch));
     }
 
-    // The tape must have exercised every cache serve mode, or the
+    // The tape must have exercised every reuse depth, or the
     // equivalence above proved less than it claims.
+    EXPECT_GT(front_departures, 10);
+    EXPECT_GT(middle_departures, 10);
     EXPECT_GT(tel.counter(trace::EventId::AllocatorDpRebuilds), 0u);
     EXPECT_GT(tel.counter(trace::EventId::AllocatorDpFullHits), 0u);
     EXPECT_GT(tel.counter(trace::EventId::AllocatorDpExtends), 0u);
-    EXPECT_GT(tel.counter(trace::EventId::AllocatorDpCombines), 0u);
+}
+
+TEST(AllocatorEquivalence, CacheKeepsTheLongestCommonPrefix)
+{
+    // The counter each event lands on: a middle departure or an
+    // arrival refolds only the apps after the common prefix, a back
+    // departure folds nothing, a front departure keeps nothing.
+    auto pool = libraryCurves(defaultPlatform().knobSpace());
+    std::vector<const UtilityCurve *> curves;
+    for (std::size_t i = 0; i < 5; ++i)
+        curves.push_back(pool[i].get());
+    PowerAllocator fast;
+    Telemetry tel;
+    fast.setTelemetry(&tel);
+    AllocatorCache cache;
+    auto solve = [&] {
+        expectSameAllocation(oracle::denseAllocate(fast, curves, 60.0),
+                             fast.allocate(curves, 60.0, &cache, 1));
+    };
+    auto counters = [&] {
+        return std::vector<std::uint64_t>{
+            tel.counter(trace::EventId::AllocatorDpFullHits),
+            tel.counter(trace::EventId::AllocatorDpExtends),
+            tel.counter(trace::EventId::AllocatorDpRebuilds)};
+    };
+
+    solve();
+    EXPECT_EQ(counters(), (std::vector<std::uint64_t>{0, 0, 1}));
+    curves.erase(curves.begin() + 2); // middle
+    solve();
+    EXPECT_EQ(counters(), (std::vector<std::uint64_t>{0, 1, 1}));
+    curves.push_back(pool[7].get()); // arrival
+    solve();
+    EXPECT_EQ(counters(), (std::vector<std::uint64_t>{0, 2, 1}));
+    curves.pop_back(); // back
+    solve();
+    EXPECT_EQ(counters(), (std::vector<std::uint64_t>{1, 2, 1}));
+    curves.erase(curves.begin()); // front
+    solve();
+    EXPECT_EQ(counters(), (std::vector<std::uint64_t>{1, 2, 2}));
 }
 
 TEST_F(AllocatorTest, CacheInvalidatesOnEpochBump)

@@ -494,6 +494,46 @@ TEST(ServeReplay, DivergentCaptureIsReported)
     EXPECT_NE(res.firstMismatch.find("commit 1"), std::string::npos);
 }
 
+TEST(ServeReplay, ConfigRefusesTheRetiredDenseDpByte)
+{
+    std::vector<std::uint8_t> bytes =
+        serve::encodeCaptureConfig(smallEngine(2));
+    // Config layout up to the retired byte: version u8, nodes u32,
+    // cap f64, esd u8, seedBase u64, seedCorpus u8, maxAdvance f64,
+    // policy u8, sampleFraction f64, oracle u8, noise f64,
+    // calibrationPerSample u64, controlPeriod u64, budgetGuard f64,
+    // trimGain f64, refreshPeriod u64, sampling u8.
+    const std::size_t retired_off =
+        1 + 4 + 8 + 1 + 8 + 1 + 8 + 1 + 8 + 1 + 8 + 8 + 8 + 8 + 8 + 8 + 1;
+    ASSERT_EQ(bytes.size(), retired_off + 1 + 8 + 8);
+    EXPECT_EQ(bytes[retired_off], 0u); // encode always writes 0
+
+    // Re-seal the FNV-1a fingerprint over the mutated body, so only
+    // the retired-flag check can reject the record.
+    auto reseal = [&bytes] {
+        std::uint64_t h = 14695981039346656037ULL;
+        for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+            h ^= bytes[i];
+            h *= 1099511628211ULL;
+        }
+        for (std::size_t i = 0; i < 8; ++i)
+            bytes[bytes.size() - 8 + i] =
+                static_cast<std::uint8_t>(h >> (8 * i));
+    };
+    bytes[retired_off] = 1;
+    reseal();
+    serve::EngineConfig decoded;
+    std::string error;
+    EXPECT_FALSE(serve::decodeCaptureConfig(bytes, decoded, &error));
+    EXPECT_NE(error.find("retired dense-DP"), std::string::npos) << error;
+
+    // The same record with the byte cleared decodes.
+    bytes[retired_off] = 0;
+    reseal();
+    EXPECT_TRUE(serve::decodeCaptureConfig(bytes, decoded, &error))
+        << error;
+}
+
 // --- Thread-pool gauges --------------------------------------------
 
 TEST(ServeGauges, PoolBacklogReturnsToZero)

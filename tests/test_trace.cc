@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -54,6 +55,33 @@ TEST(TraceRegistry, NamesRoundTripToDenseIds)
 }
 
 // --- TraceSink -----------------------------------------------------
+
+TEST(TraceSink, TimerSlotsCoverExactlyTheTimers)
+{
+    // Only Timer events own a TimerAgg slot: the slots are dense and
+    // distinct, every other kind maps to the kTimerCount sentinel, and
+    // reading a timer aggregate under a counter id yields zeroes.
+    std::vector<bool> used(trace::kTimerCount, false);
+    for (std::size_t i = 0; i < trace::kEventCount; ++i) {
+        std::size_t slot = trace::kTimerSlots[i];
+        if (trace::kEventKinds[i] != trace::EventKind::Timer) {
+            EXPECT_EQ(slot, trace::kTimerCount) << i;
+            continue;
+        }
+        ASSERT_LT(slot, trace::kTimerCount) << i;
+        EXPECT_FALSE(used[slot]) << i;
+        used[slot] = true;
+    }
+    EXPECT_EQ(std::count(used.begin(), used.end(), true),
+              static_cast<long>(trace::kTimerCount));
+
+    trace::TraceSink sink;
+    sink.observe(trace::EventId::AllocatorSpatial, 3);
+    sink.count(trace::EventId::ControlPolls, 5);
+    EXPECT_EQ(sink.timerValue(trace::EventId::AllocatorSpatial).total, 3u);
+    EXPECT_EQ(sink.timerValue(trace::EventId::ControlPolls).count, 0u);
+    EXPECT_EQ(sink.timerValue(trace::EventId::ManagerReallocate).count, 0u);
+}
 
 TEST(TraceSink, FoldAndMergeSemantics)
 {
