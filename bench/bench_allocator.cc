@@ -25,13 +25,13 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "allocator_oracle.hh"
 #include "core/power_allocator.hh"
 #include "core/telemetry.hh"
@@ -382,19 +382,10 @@ runEvents(bool quick)
 int
 main(int argc, char **argv)
 {
-    bool check = false;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--check] [--quick]\n";
-            return 2;
-        }
-    }
+    auto args = bench::parseCheckArgs(argc, argv);
+    if (!args)
+        return 2;
+    const auto [check, quick] = *args;
 
     Equivalence eq = runEquivalence(quick);
 

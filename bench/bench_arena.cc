@@ -30,7 +30,6 @@
  * Exits non-zero when any clause fails.
  */
 
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
@@ -329,19 +328,10 @@ checkRoundTripsAndRejection()
 int
 main(int argc, char **argv)
 {
-    bool check = false;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--check] [--quick]\n";
-            return 2;
-        }
-    }
+    auto args = bench::parseCheckArgs(argc, argv);
+    if (!args)
+        return 2;
+    const auto [check, quick] = *args;
 
     // The scenario matrix.  "tight-80" is the paper's stringent
     // constant cap (Fig. 10's P_cap) — the baseline's home turf;

@@ -26,7 +26,6 @@
  */
 
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -35,6 +34,7 @@
 #include <tuple>
 #include <vector>
 
+#include "bench_common.hh"
 #include "cluster/cluster_manager.hh"
 #include "cluster/power_tree.hh"
 #include "cluster/power_trace.hh"
@@ -241,19 +241,10 @@ printTreePoint(const TreePoint &p, bool first)
 int
 main(int argc, char **argv)
 {
-    bool check = false;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--check] [--quick]\n";
-            return 2;
-        }
-    }
+    auto args = bench::parseCheckArgs(argc, argv);
+    if (!args)
+        return 2;
+    const auto [check, quick] = *args;
 
     unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     bool ok = true;

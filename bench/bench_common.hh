@@ -15,6 +15,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,35 @@
 
 namespace psm::bench
 {
+
+/** The flags of a bench that doubles as a CTest tripwire. */
+struct CheckArgs
+{
+    bool check = false; ///< gate on the bench's properties
+    bool quick = false; ///< shorter runs, same gates
+};
+
+/**
+ * Parse `[--check] [--quick]`.  Any other argument prints the usage
+ * line to stderr and yields nullopt; the caller then exits with 2.
+ */
+inline std::optional<CheckArgs>
+parseCheckArgs(int argc, char **argv)
+{
+    CheckArgs args;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--check") == 0)
+            args.check = true;
+        else if (std::strcmp(argv[i], "--quick") == 0)
+            args.quick = true;
+        else {
+            std::cerr << "usage: " << argv[0]
+                      << " [--check] [--quick]\n";
+            return std::nullopt;
+        }
+    }
+    return args;
+}
 
 /**
  * Env-gated control-plane telemetry dump: set PSM_TELEMETRY=text or

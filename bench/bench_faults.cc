@@ -27,7 +27,6 @@
  * Exits non-zero when any clause fails.
  */
 
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
@@ -153,19 +152,10 @@ printRun(const FaultRun &run, bool first)
 int
 main(int argc, char **argv)
 {
-    bool check = false;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--check] [--quick]\n";
-            return 2;
-        }
-    }
+    auto args = bench::parseCheckArgs(argc, argv);
+    if (!args)
+        return 2;
+    const auto [check, quick] = *args;
 
     // The acceptance scenario is a 32-node replay; --quick only
     // shortens the horizon, not the cluster.

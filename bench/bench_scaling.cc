@@ -2,24 +2,19 @@
  * @file
  * Scaling bench for the performance layer: sweeps the thread-pool
  * width over (a) a 32-node cluster cap-trace replay and (b) a
- * corpus-sized ALS fit, and measures the surface cache, emitting one
- * JSON document on stdout:
+ * corpus-sized ALS fit, emitting one JSON document on stdout:
  *
  *   cluster: node-steps/second per width (and speedup vs. width 1)
  *   als:     fit milliseconds per width (and speedup vs. width 1)
- *   cache:   hit rate, cold vs. cache-hit estimate cost, warm-start
- *            sweep reduction
  *
  * `--check` turns the bench into a regression tripwire: on a
  * multi-core host the parallel cluster replay must not be slower
- * than the serial one (speedup >= 1.0), and a repeat estimate with
- * an unchanged sample mask must be a cache hit with zero ALS sweeps.
- * Exits non-zero when either property fails; on a single-core host
- * the speedup clause is vacuous and only the cache clause runs.
+ * than the serial one (speedup >= 1.0).  It exits non-zero when that
+ * fails; on a single-core host the clause is vacuous.  The ALS sweep
+ * runs only without `--check`.
  */
 
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -122,72 +117,15 @@ alsFitAt(unsigned width, const cf::UtilityEstimator &est,
     return p;
 }
 
-struct CacheReport
-{
-    std::size_t calls = 0;
-    std::size_t hits = 0;
-    double coldFitMs = 0.0;
-    double hitMs = 0.0;
-    double warmFitMs = 0.0;
-    std::size_t coldSweeps = 0;
-    std::size_t warmSweeps = 0;
-    bool hitHadZeroSweeps = false;
-};
-
-CacheReport
-measureCache(const cf::UtilityEstimator &est,
-             const std::vector<cf::Measurement> &samples,
-             const std::vector<cf::Measurement> &grown)
-{
-    CacheReport rep;
-    cf::FitState state;
-    cf::FitOutcome out;
-
-    rep.coldFitMs =
-        wallSeconds([&] { est.estimate(samples, &state, &out); }) *
-        1000.0;
-    rep.coldSweeps = out.sweeps;
-    ++rep.calls;
-
-    // Warm estimates with the unchanged mask: all must hit.
-    rep.hitHadZeroSweeps = true;
-    for (int i = 0; i < 4; ++i) {
-        double s = wallSeconds(
-            [&] { est.estimate(samples, &state, &out); });
-        rep.hitMs += s * 1000.0 / 4.0;
-        ++rep.calls;
-        if (out.cacheHit)
-            ++rep.hits;
-        rep.hitHadZeroSweeps &= out.cacheHit && out.sweeps == 0;
-    }
-
-    // A strictly grown mask warm-starts instead of hitting.
-    rep.warmFitMs =
-        wallSeconds([&] { est.estimate(grown, &state, &out); }) *
-        1000.0;
-    rep.warmSweeps = out.sweeps;
-    ++rep.calls;
-    return rep;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool check = false;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--check] [--quick]\n";
-            return 2;
-        }
-    }
+    auto args = bench::parseCheckArgs(argc, argv);
+    if (!args)
+        return 2;
+    const auto [check, quick] = *args;
 
     unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     int servers = quick ? 16 : 32;
@@ -220,24 +158,16 @@ main(int argc, char **argv)
     std::vector<std::size_t> cols;
     for (std::size_t c = 0; c < est.columnCount(); c += 10)
         cols.push_back(c); // ~10% mask
-    std::vector<std::size_t> grown_cols = cols;
-    for (std::size_t c = 5; c < est.columnCount(); c += 20)
-        grown_cols.push_back(c);
     cf::Profiler prof(plat, 0.0);
     perf::PerfModel model(plat, perf::workload("stream"));
     Rng mrng(9);
     auto samples = prof.measure(model, cols, mrng);
-    auto grown = prof.measure(model, grown_cols, mrng);
 
     std::vector<AlsPoint> als_pts;
     if (!check) {
         for (unsigned w : sweepWidths())
             als_pts.push_back(alsFitAt(w, est, samples));
     }
-
-    // --- surface cache ---------------------------------------------
-    util::ThreadPool::configureGlobal(0);
-    CacheReport cache = measureCache(est, samples, grown);
 
     // --- JSON ------------------------------------------------------
     std::cout << "{\"bench\":\"scaling\",\"hardware_concurrency\":"
@@ -264,40 +194,17 @@ main(int argc, char **argv)
                   << ",\"fit_ms\":" << p.fitMs << ",\"speedup\":"
                   << als_pts[0].fitMs / p.fitMs << "}";
     }
-    std::cout << "]},";
-    std::cout << "\"cache\":{\"calls\":" << cache.calls
-              << ",\"hits\":" << cache.hits << ",\"hit_rate\":"
-              << static_cast<double>(cache.hits) /
-                     static_cast<double>(cache.calls)
-              << ",\"cold_fit_ms\":" << cache.coldFitMs
-              << ",\"hit_ms\":" << cache.hitMs
-              << ",\"warm_fit_ms\":" << cache.warmFitMs
-              << ",\"cold_sweeps\":" << cache.coldSweeps
-              << ",\"warm_sweeps\":" << cache.warmSweeps
-              << ",\"hit_zero_sweeps\":"
-              << (cache.hitHadZeroSweeps ? "true" : "false") << "}}"
-              << std::endl;
+    std::cout << "]}}" << std::endl;
 
-    if (check) {
-        bool ok = true;
-        if (hw > 1 && cluster_pts.size() == 2) {
-            double speedup = cluster_pts[1].stepsPerSec /
-                             cluster_pts[0].stepsPerSec;
-            if (speedup < 1.0) {
-                std::cerr << "FAIL: parallel cluster stepping slower "
-                             "than serial (speedup "
-                          << speedup << " at " << hw
-                          << " threads)\n";
-                ok = false;
-            }
+    if (check && hw > 1 && cluster_pts.size() == 2) {
+        double speedup =
+            cluster_pts[1].stepsPerSec / cluster_pts[0].stepsPerSec;
+        if (speedup < 1.0) {
+            std::cerr << "FAIL: parallel cluster stepping slower than "
+                         "serial (speedup "
+                      << speedup << " at " << hw << " threads)\n";
+            return 1;
         }
-        if (cache.hits != 4 || !cache.hitHadZeroSweeps) {
-            std::cerr << "FAIL: unchanged-mask estimate was not a "
-                         "zero-sweep cache hit ("
-                      << cache.hits << "/4 hits)\n";
-            ok = false;
-        }
-        return ok ? 0 : 1;
     }
     return 0;
 }

@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -32,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hh"
 #include "serve/client.hh"
 #include "serve/service.hh"
 #include "util/random.hh"
@@ -461,19 +461,10 @@ runSweepCell(const EventMix &mix, std::size_t clients, bool quick)
 int
 main(int argc, char **argv)
 {
-    bool check = false;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--check] [--quick]\n";
-            return 2;
-        }
-    }
+    auto args = bench::parseCheckArgs(argc, argv);
+    if (!args)
+        return 2;
+    const auto [check, quick] = *args;
 
     Equivalence eq = runEquivalence(quick);
     Coalesce co = runCoalesce();

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "cluster/node_pool.hh"
 #include "core/manager.hh"
 #include "perf/latency.hh"
@@ -349,19 +350,10 @@ checkHomeTurf(const std::vector<SloCell> &cells)
 int
 main(int argc, char **argv)
 {
-    bool check = false;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--check] [--quick]\n";
-            return 2;
-        }
-    }
+    auto args = bench::parseCheckArgs(argc, argv);
+    if (!args)
+        return 2;
+    const auto [check, quick] = *args;
 
     const double mm1_seconds = quick ? 300.0 : 1200.0;
     const double cell_seconds = quick ? 30.0 : 90.0;

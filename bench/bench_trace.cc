@@ -26,13 +26,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "core/telemetry.hh"
 #include "serve/engine.hh"
 #include "serve/protocol.hh"
@@ -270,19 +270,10 @@ checkReplay(CheckReport &rep)
 int
 main(int argc, char **argv)
 {
-    bool check = false;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--check] [--quick]\n";
-            return 2;
-        }
-    }
+    auto args = bench::parseCheckArgs(argc, argv);
+    if (!args)
+        return 2;
+    const auto [check, quick] = *args;
 
     const std::size_t iters = quick ? 400000 : 4000000;
     const std::size_t shards = quick ? 32 : 64;

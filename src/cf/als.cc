@@ -18,8 +18,6 @@ AlsConfig::validate() const
         fatal("ALS lambda must be non-negative");
     if (iterations == 0)
         fatal("ALS needs at least one iteration");
-    if (warmIterations == 0)
-        fatal("ALS needs at least one warm iteration");
 }
 
 void
@@ -169,25 +167,18 @@ sweep(const Csr &rows, const Csr &cols, std::size_t rank, double mu,
 
 } // namespace
 
-AlsModel::AlsModel(const MaskedMatrix &data, AlsConfig config,
-                   const AlsWarmStart *warm)
+AlsModel::AlsModel(const MaskedMatrix &data, AlsConfig config)
     : cfg(config)
 {
     cfg.validate();
     n_rows = data.rows();
     n_cols = data.cols();
     psm_assert(n_rows > 0 && n_cols > 0);
-    fit(data, warm);
-}
-
-AlsWarmStart
-AlsModel::warmStart() const
-{
-    return {row_bias, col_bias, u, v};
+    fit(data);
 }
 
 void
-AlsModel::fit(const MaskedMatrix &data, const AlsWarmStart *warm)
+AlsModel::fit(const MaskedMatrix &data)
 {
     std::size_t k = cfg.rank;
     mu = data.observedMean();
@@ -195,30 +186,22 @@ AlsModel::fit(const MaskedMatrix &data, const AlsWarmStart *warm)
     clamp_lo = lo;
     clamp_hi = hi;
 
-    bool warmed = warm && warm->matches(n_rows, n_cols, k);
-    if (warmed) {
-        row_bias = warm->rowBias;
-        col_bias = warm->colBias;
-        u = warm->u;
-        v = warm->v;
-    } else {
-        row_bias.assign(n_rows, 0.0);
-        col_bias.assign(n_cols, 0.0);
-        u.assign(n_rows * k, 0.0);
-        v.assign(n_cols * k, 0.0);
+    row_bias.assign(n_rows, 0.0);
+    col_bias.assign(n_cols, 0.0);
+    u.assign(n_rows * k, 0.0);
+    v.assign(n_cols * k, 0.0);
 
-        std::mt19937 rng(cfg.seed);
-        std::normal_distribution<double> init(0.0, 0.1);
-        for (double &x : u)
-            x = init(rng);
-        for (double &x : v)
-            x = init(rng);
-    }
+    std::mt19937 rng(cfg.seed);
+    std::normal_distribution<double> init(0.0, 0.1);
+    for (double &x : u)
+        x = init(rng);
+    for (double &x : v)
+        x = init(rng);
 
     if (data.observedCount() == 0)
         return;
 
-    sweeps_run = warmed ? cfg.warmIterations : cfg.iterations;
+    sweeps_run = cfg.iterations;
     auto run = k == AlsConfig::defaultRank ? sweep<AlsConfig::defaultRank>
                                            : sweep<0>;
     run(Csr(data, true), Csr(data, false), k, mu, cfg.lambda, sweeps_run,

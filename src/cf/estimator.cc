@@ -83,52 +83,12 @@ UtilityEstimator::clearCorpus()
     log_hb_corpus = MaskedMatrix(0, n_cols);
 }
 
-std::pair<std::vector<std::size_t>, std::uint64_t>
-UtilityEstimator::sampleMask(const std::vector<Measurement> &samples)
-{
-    std::vector<std::size_t> mask;
-    mask.reserve(samples.size());
-    for (const Measurement &s : samples)
-        mask.push_back(s.column);
-    std::sort(mask.begin(), mask.end());
-    mask.erase(std::unique(mask.begin(), mask.end()), mask.end());
-
-    std::uint64_t hash = 0xcbf29ce484222325ULL; // FNV-1a
-    for (std::size_t c : mask) {
-        hash ^= static_cast<std::uint64_t>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return {std::move(mask), hash};
-}
-
 UtilitySurface
 UtilityEstimator::estimate(const std::vector<Measurement> &samples,
-                           FitState *state, FitOutcome *outcome) const
+                           FitOutcome *outcome) const
 {
     if (samples.empty())
         fatal("cannot estimate a utility surface from zero samples");
-    if (outcome)
-        *outcome = FitOutcome{}; // each call reports only itself
-
-    auto [mask, mask_hash] = sampleMask(samples);
-    std::size_t fit_rows = power_corpus.rows() + 1;
-
-    if (state && state->valid && state->corpusRows == fit_rows &&
-        state->maskHash == mask_hash && state->mask == mask) {
-        // Same app, same corpus, same sampled columns: the refit
-        // would reproduce this surface modulo measurement noise.
-        if (outcome)
-            outcome->cacheHit = true;
-        return state->surface;
-    }
-
-    // Warm-start only when the previous mask strictly grew: the
-    // factors then start near the new optimum.
-    bool warm = state && state->valid &&
-                state->corpusRows == fit_rows &&
-                mask.size() > state->mask.size() &&
-                std::includes(mask.begin(), mask.end(),
-                              state->mask.begin(), state->mask.end());
 
     // Build working copies of the corpus with the new app appended as
     // a sparse row.
@@ -150,14 +110,9 @@ UtilityEstimator::estimate(const std::vector<Measurement> &samples,
     std::unique_ptr<AlsModel> hb_model;
     util::ThreadPool::global().invoke(
         [&] {
-            power_model = std::make_unique<AlsModel>(
-                power_m, als_config,
-                warm ? &state->powerWarm : nullptr);
+            power_model = std::make_unique<AlsModel>(power_m, als_config);
         },
-        [&] {
-            hb_model = std::make_unique<AlsModel>(
-                hb_m, als_config, warm ? &state->hbWarm : nullptr);
-        });
+        [&] { hb_model = std::make_unique<AlsModel>(hb_m, als_config); });
     double fit_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - fit_start)
@@ -179,20 +134,9 @@ UtilityEstimator::estimate(const std::vector<Measurement> &samples,
     }
 
     if (outcome) {
-        outcome->cacheHit = false;
-        outcome->warmStarted = warm;
         outcome->sweeps =
             power_model->sweepsRun() + hb_model->sweepsRun();
         outcome->fitSeconds = fit_seconds;
-    }
-    if (state) {
-        state->valid = true;
-        state->mask = std::move(mask);
-        state->maskHash = mask_hash;
-        state->corpusRows = fit_rows;
-        state->surface = surface;
-        state->powerWarm = power_model->warmStart();
-        state->hbWarm = hb_model->warmStart();
     }
     return surface;
 }

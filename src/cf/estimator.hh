@@ -9,14 +9,16 @@
  * the knobs); heartbeat rates are factored in log space because their
  * structure is multiplicative and their absolute scales differ by
  * orders of magnitude across applications.
+ *
+ * Each estimate() is one cold fit: nothing is memoized between calls,
+ * so a recalibration after a phase change reflects the new phase's
+ * samples only.
  */
 
 #ifndef PSM_CF_ESTIMATOR_HH
 #define PSM_CF_ESTIMATOR_HH
 
-#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "als.hh"
@@ -35,37 +37,11 @@ struct UtilitySurface
     std::size_t sampledColumns = 0; ///< how many were measured
 };
 
-/**
- * Memoized estimation state for one application, owned by the caller
- * (the LearningPipeline keeps one per tracked app).  A repeat
- * estimate() against the same corpus with the identical sampled-column
- * mask returns the cached surface without running a single ALS sweep;
- * a mask that strictly grew warm-starts both factorizations from the
- * previous factors instead of the random cold init.
- *
- * The cache key is deliberately the *mask*, not the measured values:
- * re-measuring the same columns yields the same surface modulo
- * measurement noise, and the sampler draws a fresh random mask on
- * drift recalibration, so a stale phase's surface is not pinned.
- */
-struct FitState
-{
-    bool valid = false;
-    std::vector<std::size_t> mask; ///< sorted sampled columns
-    std::uint64_t maskHash = 0;    ///< FNV-1a over the mask
-    std::size_t corpusRows = 0;    ///< rows the fit was made against
-    UtilitySurface surface;
-    AlsWarmStart powerWarm;
-    AlsWarmStart hbWarm;
-};
-
-/** What one estimate() call actually did, for telemetry upstream. */
+/** What one estimate() call cost, for telemetry upstream. */
 struct FitOutcome
 {
-    bool cacheHit = false;    ///< surface served without any fit
-    bool warmStarted = false; ///< factors seeded from previous fit
-    std::size_t sweeps = 0;   ///< total ALS sweeps across both models
-    double fitSeconds = 0.0;  ///< wall-clock spent fitting (0 on hit)
+    std::size_t sweeps = 0;  ///< total ALS sweeps across both models
+    double fitSeconds = 0.0; ///< wall-clock spent fitting
 };
 
 /**
@@ -97,7 +73,6 @@ class UtilityEstimator
 
     bool hasCorpusApp(const std::string &name) const;
     std::size_t corpusSize() const { return names.size(); }
-    const std::vector<std::string> &corpusNames() const { return names; }
 
     /** Drop every corpus application (used by cross-validation). */
     void clearCorpus();
@@ -111,19 +86,11 @@ class UtilityEstimator
      * The power and heartbeat factorizations are independent and fit
      * concurrently on the global thread pool.
      *
-     * @param state Optional per-app memo: identical mask (and corpus)
-     *        => cached surface, zero sweeps; grown mask => warm-
-     *        started refit.  Updated in place with this fit.
-     * @param outcome Optional report of what the call did (cache hit,
-     *        warm start, sweeps, fit wall-clock).
+     * @param outcome Optional report of the fit's cost (sweeps, fit
+     *        wall-clock).
      */
     UtilitySurface estimate(const std::vector<Measurement> &samples,
-                            FitState *state = nullptr,
                             FitOutcome *outcome = nullptr) const;
-
-    /** Sorted column mask of a sample set plus its FNV-1a hash. */
-    static std::pair<std::vector<std::size_t>, std::uint64_t>
-    sampleMask(const std::vector<Measurement> &samples);
 
     /**
      * Convenience for a fully known application: wrap exhaustive

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "policy.hh"
+#include "policy_registry.hh"
 #include "util/logging.hh"
 
 namespace psm::core
@@ -141,7 +141,8 @@ Actuator::executeSpatialUtility(const std::vector<int> &ids,
     // *split* the budget; within an application they enforce the
     // grant with the default hardware knob (RAPL), not per-resource
     // apportioning.
-    bool rapl_enforced = policyRaplEnforced(policy);
+    bool rapl_enforced =
+        PolicyRegistry::instance().infoFor(policy).caps.raplEnforced;
     std::vector<Directive> directives;
     for (std::size_t i = 0; i < ids.size(); ++i) {
         psm_assert(alloc.apps[i].scheduled());
@@ -236,7 +237,8 @@ Actuator::executeTemporalUtility(const TemporalPlan &plan,
             tel->count(trace::EventId::ActuatorSuspendedUnschedulable);
     }
 
-    bool rapl_enforced = policyRaplEnforced(policy);
+    bool rapl_enforced =
+        PolicyRegistry::instance().infoFor(policy).caps.raplEnforced;
     std::vector<Directive> directives;
     std::vector<double> shares;
     for (const auto &slot : plan.slots) {

@@ -35,8 +35,6 @@ LearningPipeline::seedCorpus(
                               corpus_rng);
         corpus.push_back(std::move(entry));
     }
-    // Cached fits were made against the old corpus; drop them.
-    fit_states.clear();
     rebuildServerAverageCurve();
     if (tel)
         tel->count(trace::EventId::LearningCorpusApps, corpus.size());
@@ -165,26 +163,17 @@ LearningPipeline::finishCalibration(int id)
             estimator.addCorpusApp(e.name, e.power, e.hbRate);
     }
     cf::FitOutcome outcome;
-    a.surface = estimator.estimate(samples, &fit_states[a.name],
-                                   &outcome);
+    a.surface = estimator.estimate(samples, &outcome);
     a.calibration_ready = maxTick;
     a.pending_cols.clear();
     last_latency = srv.now() - a.calibration_started;
     if (tel) {
         tel->count(trace::EventId::LearningCalibrationsFinished);
         tel->observe(trace::EventId::LearningCalibration, last_latency);
-        if (outcome.cacheHit) {
-            // Cache hits run zero ALS sweeps and never touch the
-            // fit timer.
-            tel->count(trace::EventId::LearningSurfaceCacheHits);
-        } else {
-            tel->count(trace::EventId::LearningAlsFits);
-            tel->count(trace::EventId::LearningAlsSweeps, outcome.sweeps);
-            tel->observe(trace::EventId::LearningAlsFit,
-                         toTicks(outcome.fitSeconds));
-            if (outcome.warmStarted)
-                tel->count(trace::EventId::LearningAlsWarmStarts);
-        }
+        tel->count(trace::EventId::LearningAlsFits);
+        tel->count(trace::EventId::LearningAlsSweeps, outcome.sweeps);
+        tel->observe(trace::EventId::LearningAlsFit,
+                     toTicks(outcome.fitSeconds));
     }
 }
 

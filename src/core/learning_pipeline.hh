@@ -163,15 +163,6 @@ class LearningPipeline
     std::vector<CorpusEntry> corpus;
     std::optional<UtilityCurve> server_avg_curve;
 
-    /**
-     * Per-app memoized estimation state, keyed by application name so
-     * it survives departure/re-arrival of the same app.  A repeat
-     * calibration whose sampled-column mask is unchanged serves the
-     * cached surface (zero ALS sweeps); a grown mask warm-starts the
-     * refit.  Invalidated wholesale when the corpus changes.
-     */
-    std::map<std::string, cf::FitState> fit_states;
-
     struct AppLearning
     {
         std::string name;

@@ -72,6 +72,7 @@ ServerManager::normalizedConfig(ManagerConfig cfg)
 
 ServerManager::ServerManager(sim::Server &server, ManagerConfig config)
     : srv(server), cfg(normalizedConfig(std::move(config))),
+      caps(PolicyRegistry::instance().infoFor(cfg.policy).caps),
       injector(cfg.faults), coord(cfg.coordinator),
       pipeline(server, learningConfig(cfg), &tel),
       selector(server.platform(), cfg.allocator, &tel),
@@ -80,7 +81,7 @@ ServerManager::ServerManager(sim::Server &server, ManagerConfig config)
 {
     coord.setTelemetry(&tel);
     control.setFaultInjector(&injector);
-    if (policyUsesEsd(cfg.policy) && !srv.hasEsd()) {
+    if (caps.usesEsd && !srv.hasEsd()) {
         warn("policy %s selected but the server has no ESD; it will "
              "fall back to temporal coordination",
              policyName(cfg.policy).c_str());
@@ -115,7 +116,7 @@ ServerManager::addApp(const perf::AppProfile &profile)
 
     pipeline.track(id, profile);
     control.accountant().notifyArrival(id);
-    if (policyAppAware(cfg.policy)) {
+    if (caps.appAware) {
         if (pipeline.startCalibration(id))
             last_realloc_latency = cfg.controlPeriod;
     }
@@ -190,7 +191,7 @@ ServerManager::onDeparture(const AccountantEvent &ev)
 bool
 ServerManager::onDrift(int app_id)
 {
-    if (!policyAppAware(cfg.policy))
+    if (!caps.appAware)
         return false;
     if (pipeline.startCalibration(app_id))
         last_realloc_latency = cfg.controlPeriod;
@@ -221,7 +222,7 @@ ServerManager::reallocate(const std::string &trigger)
     // reserved power floor.  The other policies never calibrate.
     std::vector<int> ready;
     std::vector<int> calibrating;
-    if (policyAppAware(cfg.policy)) {
+    if (caps.appAware) {
         for (int id : ids) {
             if (pipeline.calibrated(id))
                 ready.push_back(id);
@@ -244,7 +245,7 @@ ServerManager::reallocate(const std::string &trigger)
     // stuck this decision, tell the selector so it demotes to
     // hardware RAPL enforcement.  Only meaningful when a utility
     // plan with ready curves would otherwise be chosen.
-    if (policyAppAware(cfg.policy) && cap > 0.0 && !ready.empty() &&
+    if (caps.appAware && cap > 0.0 && !ready.empty() &&
         injector.inject(util::FaultKind::ActuationStuck, srv.now(),
                         realloc_count)) {
         in.knobsAvailable = false;
@@ -268,8 +269,8 @@ ServerManager::reallocate(const std::string &trigger)
     // the clock-modulation region below f_min — while the
     // resource-aware policies search the full (f, n, m) frontier.
     std::vector<UtilityCurve> curves;
-    if (policyAppAware(cfg.policy) && cap > 0.0 && !ids.empty()) {
-        KnobFreedom freedom = policyResAware(cfg.policy)
+    if (caps.appAware && cap > 0.0 && !ids.empty()) {
+        KnobFreedom freedom = caps.resAware
                                   ? KnobFreedom::All
                                   : KnobFreedom::FrequencyOnly;
         curves.reserve(ready.size());

@@ -35,6 +35,7 @@
 #include "learning_pipeline.hh"
 #include "plan_selector.hh"
 #include "policy.hh"
+#include "policy_registry.hh"
 #include "power_allocator.hh"
 #include "sim/server.hh"
 #include "telemetry.hh"
@@ -257,6 +258,7 @@ class ServerManager : private ControlLoop::Delegate
   private:
     sim::Server &srv;
     ManagerConfig cfg;
+    PolicyCaps caps; ///< the registry's capabilities of cfg.policy
     Telemetry tel;
     util::FaultInjector injector;
     Coordinator coord;

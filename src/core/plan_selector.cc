@@ -221,7 +221,7 @@ PlanSelector::selectUtilityAware(const PlanInputs &in) const
         return fair;
     }
 
-    if (policyUsesEsd(in.policy) && in.hasEsd && in.esd &&
+    if (info.caps.usesEsd && in.hasEsd && in.esd &&
         in.calibratingCount == 0) {
         EsdPlan plan = planner.esdPlan(in.curves, plat.idlePower,
                                        plat.cmPower, in.cap, *in.esd,
@@ -232,7 +232,7 @@ PlanSelector::selectUtilityAware(const PlanInputs &in) const
             d.esd = std::move(plan);
             return d;
         }
-    } else if (policyUsesEsd(in.policy) && !in.hasEsd && tel) {
+    } else if (info.caps.usesEsd && !in.hasEsd && tel) {
         // The policy would consider ESD plans but the device is gone
         // (fault or never installed): continue down the ladder to the
         // temporal plan.
@@ -269,7 +269,7 @@ PlanSelector::select(const PlanInputs &in) const
         d.choice = PlanChoice::Idle;
     } else if (in.cap <= 0.0) {
         d.choice = PlanChoice::UncappedRun;
-    } else if (!policyAppAware(in.policy)) {
+    } else if (!PolicyRegistry::instance().infoFor(in.policy).caps.appAware) {
         d = in.policy == PolicyKind::UtilUnaware
                 ? fairSplit(in.budget, in.appCount, false)
                 : selectServerResAware(in);

@@ -7,38 +7,10 @@
 namespace psm::core
 {
 
-// The name/capability switch tables that used to live here moved into
-// the PolicyRegistry; these wrappers keep the old call sites (and the
-// old invalid-kind panic semantics) intact.
-
 std::string
 policyName(PolicyKind kind)
 {
     return PolicyRegistry::instance().infoFor(kind).name;
-}
-
-bool
-policyAppAware(PolicyKind kind)
-{
-    return PolicyRegistry::instance().infoFor(kind).caps.appAware;
-}
-
-bool
-policyResAware(PolicyKind kind)
-{
-    return PolicyRegistry::instance().infoFor(kind).caps.resAware;
-}
-
-bool
-policyUsesEsd(PolicyKind kind)
-{
-    return PolicyRegistry::instance().infoFor(kind).caps.usesEsd;
-}
-
-bool
-policyRaplEnforced(PolicyKind kind)
-{
-    return PolicyRegistry::instance().infoFor(kind).caps.raplEnforced;
 }
 
 Watts

@@ -71,22 +71,6 @@ enum class PolicyKind
 /** Printable policy name, matching the paper's figure legends. */
 std::string policyName(PolicyKind kind);
 
-/** True when the policy learns per-application utilities. */
-bool policyAppAware(PolicyKind kind);
-
-/** True when the policy apportions power across direct resources. */
-bool policyResAware(PolicyKind kind);
-
-/** True when the policy exploits an attached ESD. */
-bool policyUsesEsd(PolicyKind kind);
-
-/**
- * True when per-application grants are enforced with RAPL clock
- * modulation (which can throttle below any frontier point) instead of
- * per-resource knob settings.
- */
-bool policyRaplEnforced(PolicyKind kind);
-
 /**
  * The platform-derived lower bound on a single application's power
  * draw that utility-unaware policies use for their spatial/temporal

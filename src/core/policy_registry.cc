@@ -11,9 +11,8 @@ namespace psm::core
 
 PolicyRegistry::PolicyRegistry()
 {
-    // The five paper policies (Sections IV-A/IV-B).  Flags encode
-    // what the old policyAppAware/policyResAware/policyUsesEsd
-    // switch tables answered, plus App-Aware's RAPL enforcement.
+    // The five paper policies (Sections IV-A/IV-B).  Flags are
+    // {appAware, resAware, usesEsd, raplEnforced}.
     add({PolicyKind::UtilUnaware, "Util-Unaware", "util-unaware",
          {false, false, false, false}, nullptr});
     add({PolicyKind::ServerResAware, "Server+Res-Aware",

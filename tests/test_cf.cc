@@ -370,24 +370,6 @@ TEST(GoldenSurface, ColdRankThreeEstimate)
     EXPECT_EQ(surfaceBits(s), 0x1fc1ff3404773a05ULL);
 }
 
-TEST(GoldenSurface, WarmRefitOfGrownMask)
-{
-    GoldenSetup g;
-    std::vector<std::size_t> cols = g.mask(0.10);
-    FitState state;
-    g.est.estimate(g.prof.measure(g.target, cols, g.rng), &state);
-
-    std::vector<std::size_t> grown = cols;
-    for (std::size_t c = 5; c < g.est.columnCount(); c += 17)
-        if (std::find(cols.begin(), cols.end(), c) == cols.end())
-            grown.push_back(c);
-    FitOutcome out;
-    UtilitySurface s = g.est.estimate(
-        g.prof.measure(g.target, grown, g.rng), &state, &out);
-    ASSERT_TRUE(out.warmStarted);
-    EXPECT_EQ(surfaceBits(s), 0xca314b45d68395b1ULL);
-}
-
 TEST(GoldenSurface, RankTwoEstimate)
 {
     AlsConfig als;

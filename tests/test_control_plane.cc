@@ -182,6 +182,50 @@ TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
     EXPECT_EQ(tel.counter(trace::EventId::LearningCalibrationsFinished), 1u);
 }
 
+TEST(LearningPipeline, RecalibrationAfterPhaseChangeMeasuresTheNewPhase)
+{
+    // An E4 recalibration must measure the application as it is now.
+    // The exhaustive mask repeats exactly across calibrations, so any
+    // memo keyed on (name, corpus, mask) would hand back the old
+    // phase's frontier here.
+    sim::Server server;
+    LearningConfig lc;
+    lc.sampleFraction = 1.0;
+    LearningPipeline pipe(server, lc);
+    pipe.seedCorpus(workloadLibrary());
+
+    int id = server.admit(workload("kmeans"));
+    server.app(id).setPhases({{0.3, 1.0, 1.0}, {1.0, 0.6, 12.0}});
+    pipe.track(id, "kmeans");
+    EXPECT_FALSE(pipe.startCalibration(id));
+    server.run(toTicks(10.0));
+    ASSERT_EQ(pipe.finishDueCalibrations().size(), 1u);
+    std::vector<UtilityPoint> before =
+        pipe.utilityFor(id, KnobFreedom::All).points();
+
+    // Run flat out into the 12x-memory phase, then recalibrate.
+    server.app(id).setKnobs(defaultPlatform().maxSetting());
+    while (server.app(id).currentPhase().memScale != 12.0 &&
+           server.now() < toTicks(3600.0))
+        server.run(toTicks(10.0));
+    ASSERT_EQ(server.app(id).currentPhase().memScale, 12.0);
+    ASSERT_FALSE(server.app(id).finished());
+    EXPECT_FALSE(pipe.startCalibration(id));
+    server.run(toTicks(10.0));
+    ASSERT_EQ(pipe.finishDueCalibrations().size(), 1u);
+    std::vector<UtilityPoint> after =
+        pipe.utilityFor(id, KnobFreedom::All).points();
+
+    bool same = before.size() == after.size();
+    for (std::size_t i = 0; same && i < before.size(); ++i) {
+        same = before[i].power == after[i].power &&
+               before[i].hbRate == after[i].hbRate;
+    }
+    EXPECT_FALSE(same) << "the recalibrated frontier repeats the "
+                          "pre-phase frontier point for point ("
+                       << after.size() << " points)";
+}
+
 TEST(LearningPipeline, SurfaceEpochTracksRecalibrationsAndRearrivals)
 {
     // The epoch gates the allocator's cross-event DP cache: it must
@@ -259,7 +303,7 @@ class PlanSelectorTest : public ::testing::Test
         in.cap = cap;
         in.budget = budgetFor(cap);
         in.appCount = 2;
-        if (policyAppAware(policy))
+        if (PolicyRegistry::instance().infoFor(policy).caps.appAware)
             in.curves = ptrs;
         if (policy == PolicyKind::ServerResAware)
             in.serverAverage = avg.get();

@@ -9,6 +9,7 @@
 #include "core/accountant.hh"
 #include "core/coordinator.hh"
 #include "core/policy.hh"
+#include "core/policy_registry.hh"
 #include "perf/workloads.hh"
 #include "sim/server.hh"
 
@@ -35,18 +36,21 @@ TEST(Policy, NamesMatchPaperLegends)
 
 TEST(Policy, AwarenessFlags)
 {
-    EXPECT_FALSE(policyAppAware(PolicyKind::UtilUnaware));
-    EXPECT_FALSE(policyAppAware(PolicyKind::ServerResAware));
-    EXPECT_TRUE(policyAppAware(PolicyKind::AppAware));
-    EXPECT_TRUE(policyAppAware(PolicyKind::AppResAware));
+    auto caps = [](PolicyKind kind) {
+        return PolicyRegistry::instance().infoFor(kind).caps;
+    };
+    EXPECT_FALSE(caps(PolicyKind::UtilUnaware).appAware);
+    EXPECT_FALSE(caps(PolicyKind::ServerResAware).appAware);
+    EXPECT_TRUE(caps(PolicyKind::AppAware).appAware);
+    EXPECT_TRUE(caps(PolicyKind::AppResAware).appAware);
 
-    EXPECT_FALSE(policyResAware(PolicyKind::UtilUnaware));
-    EXPECT_TRUE(policyResAware(PolicyKind::ServerResAware));
-    EXPECT_FALSE(policyResAware(PolicyKind::AppAware));
-    EXPECT_TRUE(policyResAware(PolicyKind::AppResAware));
+    EXPECT_FALSE(caps(PolicyKind::UtilUnaware).resAware);
+    EXPECT_TRUE(caps(PolicyKind::ServerResAware).resAware);
+    EXPECT_FALSE(caps(PolicyKind::AppAware).resAware);
+    EXPECT_TRUE(caps(PolicyKind::AppResAware).resAware);
 
-    EXPECT_TRUE(policyUsesEsd(PolicyKind::AppResEsdAware));
-    EXPECT_FALSE(policyUsesEsd(PolicyKind::AppResAware));
+    EXPECT_TRUE(caps(PolicyKind::AppResEsdAware).usesEsd);
+    EXPECT_FALSE(caps(PolicyKind::AppResAware).usesEsd);
 }
 
 TEST(Policy, FeasibilityFloorIsPlausible)

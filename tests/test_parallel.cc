@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the performance layer: the util::ThreadPool itself, the
- * surface cache / warm-start path of the estimator, the cache-hit
- * telemetry contract of the LearningPipeline, and the determinism
+ * fit telemetry contract of the LearningPipeline, and the determinism
  * guard — a parallel cluster run (pool width 4) must produce
  * bit-identical energy/perf/violation results to the serial run
  * (width 1), for both cluster drivers.
@@ -12,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <tuple>
@@ -124,7 +124,7 @@ TEST(ThreadPoolDeath, ForkedChildExitsWithoutTouchingThePool)
     }
 }
 
-// --- Estimator cache / warm start -------------------------------------------
+// --- Estimator fixtures -----------------------------------------------------
 
 std::vector<cf::Measurement>
 measureColumns(const std::string &app,
@@ -155,96 +155,9 @@ corpusEstimator(const std::string &except)
     return est;
 }
 
-TEST(SurfaceCache, IdenticalMaskIsServedWithoutAnySweep)
-{
-    cf::UtilityEstimator est = corpusEstimator("stream");
-    std::vector<std::size_t> cols;
-    for (std::size_t c = 0; c < est.columnCount(); c += 9)
-        cols.push_back(c);
-    auto samples = measureColumns("stream", cols);
-
-    cf::FitState state;
-    cf::FitOutcome first;
-    cf::UtilitySurface cold = est.estimate(samples, &state, &first);
-    EXPECT_FALSE(first.cacheHit);
-    EXPECT_FALSE(first.warmStarted);
-    EXPECT_GT(first.sweeps, 0u);
-    EXPECT_TRUE(state.valid);
-
-    cf::FitOutcome second;
-    cf::UtilitySurface warm = est.estimate(samples, &state, &second);
-    EXPECT_TRUE(second.cacheHit);
-    EXPECT_EQ(second.sweeps, 0u);
-    ASSERT_EQ(warm.power.size(), cold.power.size());
-    for (std::size_t c = 0; c < warm.power.size(); ++c) {
-        EXPECT_EQ(warm.power[c], cold.power[c]);
-        EXPECT_EQ(warm.hbRate[c], cold.hbRate[c]);
-    }
-}
-
-TEST(SurfaceCache, GrownMaskWarmStartsWithFewerSweeps)
-{
-    cf::UtilityEstimator est = corpusEstimator("stream");
-    std::vector<std::size_t> cols;
-    for (std::size_t c = 0; c < est.columnCount(); c += 9)
-        cols.push_back(c);
-
-    cf::FitState state;
-    cf::FitOutcome cold;
-    est.estimate(measureColumns("stream", cols), &state, &cold);
-
-    // Grow the mask strictly.
-    std::vector<std::size_t> grown = cols;
-    for (std::size_t c = 4; c < est.columnCount(); c += 27) {
-        if (c % 9 != 0)
-            grown.push_back(c);
-    }
-    ASSERT_GT(grown.size(), cols.size());
-    cf::FitOutcome warm;
-    cf::UtilitySurface surface =
-        est.estimate(measureColumns("stream", grown), &state, &warm);
-    EXPECT_FALSE(warm.cacheHit);
-    EXPECT_TRUE(warm.warmStarted);
-    EXPECT_LT(warm.sweeps, cold.sweeps);
-    EXPECT_EQ(surface.power.size(), est.columnCount());
-
-    // The warm-started surface still tracks ground truth reasonably:
-    // compare against the exhaustive measurement.
-    const auto &plat = power::defaultPlatform();
-    cf::Profiler prof(plat, 0.0);
-    perf::PerfModel model(plat, perf::workload("stream"));
-    Rng rng(29);
-    std::vector<double> pw, hb;
-    prof.measureAll(model, pw, hb, rng);
-    double err = 0.0;
-    for (std::size_t c = 0; c < pw.size(); ++c)
-        err += std::abs(surface.power[c] - pw[c]) / pw[c];
-    err /= static_cast<double>(pw.size());
-    EXPECT_LT(err, 0.15); // mean relative power error under 15%
-}
-
-TEST(SurfaceCache, ShrunkOrDisjointMaskRefitsCold)
-{
-    cf::UtilityEstimator est = corpusEstimator("stream");
-    std::vector<std::size_t> cols;
-    for (std::size_t c = 0; c < est.columnCount(); c += 9)
-        cols.push_back(c);
-
-    cf::FitState state;
-    est.estimate(measureColumns("stream", cols), &state, nullptr);
-
-    std::vector<std::size_t> shifted;
-    for (std::size_t c = 1; c < est.columnCount(); c += 9)
-        shifted.push_back(c);
-    cf::FitOutcome out;
-    est.estimate(measureColumns("stream", shifted), &state, &out);
-    EXPECT_FALSE(out.cacheHit);
-    EXPECT_FALSE(out.warmStarted);
-}
-
 // --- LearningPipeline telemetry contract ------------------------------------
 
-TEST(LearningPipeline, CacheHitSkipsTheFitTimer)
+TEST(LearningPipeline, IdenticalMaskRecalibrationRefits)
 {
     sim::Server server;
     core::LearningConfig lc;
@@ -262,17 +175,19 @@ TEST(LearningPipeline, CacheHitSkipsTheFitTimer)
     ASSERT_EQ(pipe.finishDueCalibrations().size(), 1u);
     EXPECT_EQ(tel.counter(trace::EventId::LearningAlsFits), 1u);
     EXPECT_EQ(tel.timer(trace::EventId::LearningAlsFit).count, 1u);
-    EXPECT_EQ(tel.counter(trace::EventId::LearningSurfaceCacheHits), 0u);
-    EXPECT_GT(tel.counter(trace::EventId::LearningAlsSweeps), 0u);
+    std::uint64_t sweeps =
+        tel.counter(trace::EventId::LearningAlsSweeps);
+    EXPECT_GT(sweeps, 0u);
 
-    // Recalibrate with the identical (exhaustive) mask: the surface
-    // is served from the cache — zero sweeps, fit timer untouched.
+    // Recalibrate with the identical (exhaustive) mask: every
+    // calibration is a cold fit, so it refits with the full sweep
+    // count and times the fit again.
     EXPECT_FALSE(pipe.startCalibration(id));
     server.run(toTicks(10.0));
     ASSERT_EQ(pipe.finishDueCalibrations().size(), 1u);
-    EXPECT_EQ(tel.counter(trace::EventId::LearningSurfaceCacheHits), 1u);
-    EXPECT_EQ(tel.counter(trace::EventId::LearningAlsFits), 1u);
-    EXPECT_EQ(tel.timer(trace::EventId::LearningAlsFit).count, 1u);
+    EXPECT_EQ(tel.counter(trace::EventId::LearningAlsFits), 2u);
+    EXPECT_EQ(tel.timer(trace::EventId::LearningAlsFit).count, 2u);
+    EXPECT_EQ(tel.counter(trace::EventId::LearningAlsSweeps), 2 * sweeps);
     EXPECT_TRUE(pipe.calibrated(id));
 }
 
@@ -383,36 +298,22 @@ TEST(DeterminismGuard, SchedulerParallelMatchesSerialBitForBit)
 
 TEST(DeterminismGuard, AlsFitIsWidthInvariant)
 {
-    // The two factorizations of one estimate fit concurrently; both
-    // the cold fit and the warm-started refit of a grown mask must
-    // not depend on the pool width.
+    // The two factorizations of one estimate fit concurrently; the
+    // fit must not depend on the pool width.
     auto fitAt = [](unsigned width) {
         ScopedPoolWidth pool(width);
         cf::UtilityEstimator est = corpusEstimator("stream");
         std::vector<std::size_t> cols;
         for (std::size_t c = 0; c < est.columnCount(); c += 7)
             cols.push_back(c);
-        cf::FitState state;
-        cf::UtilitySurface cold =
-            est.estimate(measureColumns("stream", cols), &state);
-        for (std::size_t c = 3; c < est.columnCount(); c += 7)
-            cols.push_back(c);
-        cf::FitOutcome out;
-        cf::UtilitySurface warm =
-            est.estimate(measureColumns("stream", cols), &state, &out);
-        EXPECT_TRUE(out.warmStarted);
-        return std::pair(cold, warm);
+        return est.estimate(measureColumns("stream", cols));
     };
-    auto [serial_cold, serial_warm] = fitAt(1);
-    auto [parallel_cold, parallel_warm] = fitAt(4);
-    for (auto [serial, parallel] :
-         {std::pair(&serial_cold, &parallel_cold),
-          std::pair(&serial_warm, &parallel_warm)}) {
-        ASSERT_EQ(serial->power.size(), parallel->power.size());
-        for (std::size_t c = 0; c < serial->power.size(); ++c) {
-            EXPECT_EQ(serial->power[c], parallel->power[c]);
-            EXPECT_EQ(serial->hbRate[c], parallel->hbRate[c]);
-        }
+    cf::UtilitySurface serial = fitAt(1);
+    cf::UtilitySurface parallel = fitAt(4);
+    ASSERT_EQ(serial.power.size(), parallel.power.size());
+    for (std::size_t c = 0; c < serial.power.size(); ++c) {
+        EXPECT_EQ(serial.power[c], parallel.power[c]);
+        EXPECT_EQ(serial.hbRate[c], parallel.hbRate[c]);
     }
 }
 

@@ -53,19 +53,6 @@ TEST(PolicyRegistry, ContainsPaperPoliciesAndRivals)
     }
 }
 
-TEST(PolicyRegistry, CapsMatchLegacyWrappers)
-{
-    for (const PolicyInfo &info :
-         PolicyRegistry::instance().all()) {
-        EXPECT_EQ(policyName(info.kind), info.name);
-        EXPECT_EQ(policyAppAware(info.kind), info.caps.appAware);
-        EXPECT_EQ(policyResAware(info.kind), info.caps.resAware);
-        EXPECT_EQ(policyUsesEsd(info.kind), info.caps.usesEsd);
-        EXPECT_EQ(policyRaplEnforced(info.kind),
-                  info.caps.raplEnforced);
-    }
-}
-
 TEST(PolicyRegistry, CliNamesRoundTripAndListEveryPolicy)
 {
     const auto &reg = PolicyRegistry::instance();
